@@ -1,17 +1,17 @@
-//! The lightweight Rust AST the v2 rules are built on.
+//! The lightweight Rust AST every darms-lint rule is built on.
 //!
 //! This is deliberately *not* a faithful Rust grammar: types, generics
-//! and where-clauses are skipped as balanced token runs, operator
+//! and where-clauses are skipped as balanced token runs (binding types
+//! are kept as flat text, see [`Param`] and [`Field`]), operator
 //! precedence is flattened (`Binary` is an operator-joined sequence),
 //! and anything the dataflow rules don't need collapses into `Other`.
 //! What it does keep is exactly the structure the rules consume:
 //! items and fns (with async-ness and `#[cfg(test)]` visibility),
 //! blocks and statements with line spans, let-bindings with patterns,
+//! struct and variant fields,
 //! call/method-call expressions with argument lists, string literals
 //! verbatim, `.await` points, `match` arms with structured patterns,
 //! and the loop family.
-
-use crate::lexer::Token;
 
 /// A parse error. The `parse_workspace.rs` gate asserts the workspace
 /// produces none of these.
@@ -84,11 +84,28 @@ impl Item {
     }
 }
 
+/// A fn or closure parameter (`self` excluded) with its declared type,
+/// when one is written. Types throughout the AST are flat token text,
+/// joined by spaces like attributes (`& Mutex < HashMap < u64 , Job > >`).
+#[derive(Debug)]
+pub struct Param {
+    pub pat: Pat,
+    pub ty: Option<String>,
+}
+
+/// A named struct / struct-variant field.
+#[derive(Debug)]
+pub struct Field {
+    pub name: String,
+    pub ty: String,
+    pub line: u32,
+}
+
 #[derive(Debug)]
 pub struct FnItem {
     pub name: String,
     pub is_async: bool,
-    pub params: Vec<Pat>,
+    pub params: Vec<Param>,
     pub body: Option<Block>,
     pub line: u32,
     pub end_line: u32,
@@ -100,6 +117,8 @@ pub struct EnumItem {
     pub name: String,
     /// Variant names with their declaration lines.
     pub variants: Vec<(String, u32)>,
+    /// Named fields of struct-like variants.
+    pub fields: Vec<Field>,
     pub line: u32,
     pub attrs: Attrs,
 }
@@ -127,6 +146,7 @@ pub struct ContainerItem {
 #[derive(Debug)]
 pub struct ConstItem {
     pub name: String,
+    pub ty: Option<String>,
     pub init: Option<Expr>,
     pub line: u32,
     pub attrs: Attrs,
@@ -136,6 +156,8 @@ pub struct ConstItem {
 pub struct OtherItem {
     /// Leading keyword (`use`, `struct`, ...), for diagnostics.
     pub kw: String,
+    /// Named fields of a `struct` / `union` (empty otherwise).
+    pub fields: Vec<Field>,
     pub line: u32,
     pub end_line: u32,
     pub attrs: Attrs,
@@ -168,6 +190,7 @@ pub enum StmtKind {
 #[derive(Debug)]
 pub struct LetStmt {
     pub pat: Pat,
+    pub ty: Option<String>,
     pub init: Option<Expr>,
     pub else_block: Option<Block>,
 }
@@ -347,7 +370,7 @@ pub struct ForExpr {
 
 #[derive(Debug)]
 pub struct ClosureExpr {
-    pub params: Vec<Pat>,
+    pub params: Vec<Param>,
     pub body: Box<Expr>,
     pub line: u32,
 }
@@ -513,85 +536,11 @@ impl Expr {
     /// Visit this expression and every nested expression (preorder),
     /// descending into blocks, arms, closures and macro arguments.
     pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        match self {
-            Expr::Path(_) | Expr::Lit(_) | Expr::Continue(_) | Expr::Other(_) => {}
-            Expr::Call(c) => {
-                c.callee.for_each(f);
-                c.args.iter().for_each(|a| a.for_each(f));
+        walk_expr(self, false, &mut |n| {
+            if let Node::Expr(e) = n {
+                f(e)
             }
-            Expr::MethodCall(m) => {
-                m.recv.for_each(f);
-                m.args.iter().for_each(|a| a.for_each(f));
-            }
-            Expr::Field(b, _, _)
-            | Expr::Await(b, _)
-            | Expr::Try(b, _)
-            | Expr::Unary(b, _)
-            | Expr::Cast(b, _) => b.for_each(f),
-            Expr::Index(b, i, _) => {
-                b.for_each(f);
-                i.for_each(f);
-            }
-            Expr::Binary(xs, _) | Expr::Tuple(xs, _) | Expr::Array(xs, _) => {
-                xs.iter().for_each(|x| x.for_each(f))
-            }
-            Expr::Range { lo, hi, .. } => {
-                if let Some(l) = lo {
-                    l.for_each(f);
-                }
-                if let Some(h) = hi {
-                    h.for_each(f);
-                }
-            }
-            Expr::Assign { lhs, rhs, .. } => {
-                lhs.for_each(f);
-                rhs.for_each(f);
-            }
-            Expr::StructLit(s) => {
-                for (_, v) in &s.fields {
-                    if let Some(v) = v {
-                        v.for_each(f);
-                    }
-                }
-                if let Some(r) = &s.rest {
-                    r.for_each(f);
-                }
-            }
-            Expr::Block(b, _) => b.for_each_expr(f),
-            Expr::If(i) => {
-                i.cond.for_each(f);
-                i.then_block.for_each_expr(f);
-                if let Some(e) = &i.else_branch {
-                    e.for_each(f);
-                }
-            }
-            Expr::Match(m) => {
-                m.scrutinee.for_each(f);
-                for arm in &m.arms {
-                    if let Some(g) = &arm.guard {
-                        g.for_each(f);
-                    }
-                    arm.body.for_each(f);
-                }
-            }
-            Expr::Loop(b, _) => b.for_each_expr(f),
-            Expr::While(w) => {
-                w.cond.for_each(f);
-                w.body.for_each_expr(f);
-            }
-            Expr::For(fo) => {
-                fo.iter.for_each(f);
-                fo.body.for_each_expr(f);
-            }
-            Expr::Closure(c) => c.body.for_each(f),
-            Expr::Break(e, _) | Expr::Return(e, _) => {
-                if let Some(e) = e {
-                    e.for_each(f);
-                }
-            }
-            Expr::Macro(m) => m.args.iter().for_each(|a| a.for_each(f)),
-        }
+        });
     }
 }
 
@@ -599,20 +548,17 @@ impl Block {
     /// Visit every expression in the block (preorder), including
     /// nested items' bodies *not* — nested items are separate scopes.
     pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        for s in &self.stmts {
-            match &s.kind {
-                StmtKind::Let(l) => {
-                    if let Some(e) = &l.init {
-                        e.for_each(f);
-                    }
-                    if let Some(b) = &l.else_block {
-                        b.for_each_expr(f);
-                    }
-                }
-                StmtKind::Expr(e, _) => e.for_each(f),
-                StmtKind::Item(_) | StmtKind::Empty => {}
+        walk_block(self, false, &mut |n| {
+            if let Node::Expr(e) = n {
+                f(e)
             }
-        }
+        });
+    }
+
+    /// Visit every statement and expression in the block (preorder),
+    /// nested items excluded.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(Node<'a>)) {
+        walk_block(self, false, f);
     }
 
     /// Does any expression in the block satisfy `pred`?
@@ -624,6 +570,128 @@ impl Block {
             }
         });
         found
+    }
+}
+
+/// A syntax node handed out by [`walk_file`].
+#[derive(Clone, Copy)]
+pub enum Node<'a> {
+    Item(&'a Item),
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+/// Visit every item, statement and expression in the file
+/// (preorder), including items nested in fn bodies and const
+/// initialisers: the whole-file view the workspace-wide rules scan.
+pub fn walk_file<'a>(file: &'a SourceFile, f: &mut impl FnMut(Node<'a>)) {
+    for it in &file.items {
+        walk_item(it, f);
+    }
+}
+
+fn walk_item<'a>(it: &'a Item, f: &mut impl FnMut(Node<'a>)) {
+    f(Node::Item(it));
+    match it {
+        Item::Fn(fi) => {
+            if let Some(b) = &fi.body {
+                walk_block(b, true, f);
+            }
+        }
+        Item::Mod(m) => m.items.iter().for_each(|i| walk_item(i, f)),
+        Item::Container(c) => c.items.iter().for_each(|i| walk_item(i, f)),
+        Item::Const(c) => {
+            if let Some(e) = &c.init {
+                walk_expr(e, true, f);
+            }
+        }
+        Item::Enum(_) | Item::Other(_) => {}
+    }
+}
+
+/// `items`: also descend into items declared inside the block.
+fn walk_block<'a>(b: &'a Block, items: bool, f: &mut impl FnMut(Node<'a>)) {
+    for s in &b.stmts {
+        f(Node::Stmt(s));
+        match &s.kind {
+            StmtKind::Let(l) => {
+                if let Some(e) = &l.init {
+                    walk_expr(e, items, f);
+                }
+                if let Some(b) = &l.else_block {
+                    walk_block(b, items, f);
+                }
+            }
+            StmtKind::Expr(e, _) => walk_expr(e, items, f),
+            StmtKind::Item(it) if items => walk_item(it, f),
+            StmtKind::Item(_) | StmtKind::Empty => {}
+        }
+    }
+}
+
+fn walk_expr<'a>(e: &'a Expr, items: bool, f: &mut impl FnMut(Node<'a>)) {
+    f(Node::Expr(e));
+    let mut sub = |x: &'a Expr| walk_expr(x, items, f);
+    match e {
+        Expr::Path(_) | Expr::Lit(_) | Expr::Continue(_) | Expr::Other(_) => {}
+        Expr::Call(c) => {
+            sub(&c.callee);
+            c.args.iter().for_each(sub);
+        }
+        Expr::MethodCall(m) => {
+            sub(&m.recv);
+            m.args.iter().for_each(sub);
+        }
+        Expr::Field(b, _, _)
+        | Expr::Await(b, _)
+        | Expr::Try(b, _)
+        | Expr::Unary(b, _)
+        | Expr::Cast(b, _) => sub(b),
+        Expr::Index(b, i, _) => {
+            sub(b);
+            sub(i);
+        }
+        Expr::Binary(xs, _) | Expr::Tuple(xs, _) | Expr::Array(xs, _) => xs.iter().for_each(sub),
+        Expr::Range { lo, hi, .. } => {
+            lo.iter().for_each(|l| sub(l));
+            hi.iter().for_each(|h| sub(h));
+        }
+        Expr::Assign { lhs, rhs, .. } => {
+            sub(lhs);
+            sub(rhs);
+        }
+        Expr::StructLit(s) => {
+            s.fields.iter().filter_map(|(_, v)| v.as_ref()).for_each(&mut sub);
+            s.rest.iter().for_each(|r| sub(r));
+        }
+        Expr::Block(b, _) | Expr::Loop(b, _) => walk_block(b, items, f),
+        Expr::If(i) => {
+            walk_expr(&i.cond, items, f);
+            walk_block(&i.then_block, items, f);
+            if let Some(e) = &i.else_branch {
+                walk_expr(e, items, f);
+            }
+        }
+        Expr::Match(m) => {
+            walk_expr(&m.scrutinee, items, f);
+            for arm in &m.arms {
+                if let Some(g) = &arm.guard {
+                    walk_expr(g, items, f);
+                }
+                walk_expr(&arm.body, items, f);
+            }
+        }
+        Expr::While(w) => {
+            walk_expr(&w.cond, items, f);
+            walk_block(&w.body, items, f);
+        }
+        Expr::For(fo) => {
+            walk_expr(&fo.iter, items, f);
+            walk_block(&fo.body, items, f);
+        }
+        Expr::Closure(c) => sub(&c.body),
+        Expr::Break(e, _) | Expr::Return(e, _) => e.iter().for_each(|e| sub(e)),
+        Expr::Macro(m) => m.args.iter().for_each(sub),
     }
 }
 
@@ -657,58 +725,9 @@ pub fn for_each_fn<'a>(file: &'a SourceFile, f: &mut impl FnMut(&'a FnItem, bool
 /// arms, items): used by waivers to cover the full span of the
 /// construct that starts on the line after the waiver comment.
 pub fn coverable_spans(file: &SourceFile) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    fn block(b: &Block, out: &mut Vec<(u32, u32)>) {
-        for s in &b.stmts {
-            out.push((s.line, s.end_line));
-        }
-    }
-    fn exprs(e: &Expr, out: &mut Vec<(u32, u32)>) {
-        e.for_each(&mut |e| match e {
-            Expr::Block(b, _) | Expr::Loop(b, _) => block(b, out),
-            Expr::If(i) => block(&i.then_block, out),
-            Expr::While(w) => block(&w.body, out),
-            Expr::For(f) => block(&f.body, out),
-            Expr::Match(m) => {
-                for arm in &m.arms {
-                    out.push((arm.line, arm.end_line));
-                }
-            }
-            _ => {}
-        });
-    }
-    fn items(list: &[Item], out: &mut Vec<(u32, u32)>) {
-        for it in list {
-            match it {
-                Item::Fn(f) => {
-                    out.push((f.line, f.end_line));
-                    if let Some(b) = &f.body {
-                        block(b, out);
-                        b.for_each_expr(&mut |_| {});
-                        // Nested spans from expressions:
-                        for s in &b.stmts {
-                            match &s.kind {
-                                StmtKind::Let(l) => {
-                                    if let Some(e) = &l.init {
-                                        exprs(e, out);
-                                    }
-                                }
-                                StmtKind::Expr(e, _) => exprs(e, out),
-                                StmtKind::Item(it) => items(std::slice::from_ref(it), out),
-                                StmtKind::Empty => {}
-                            }
-                        }
-                    }
-                }
-                Item::Mod(m) => items(&m.items, out),
-                Item::Container(c) => items(&c.items, out),
-                Item::Const(c) => {
-                    if let Some(e) = &c.init {
-                        exprs(e, out);
-                    }
-                }
-                Item::Enum(_) | Item::Other(_) => {}
-            }
+    let mut out = Vec::new();
+    walk_file(file, &mut |n| match n {
+        Node::Item(it) => {
             let end = match it {
                 Item::Fn(f) => f.end_line,
                 Item::Other(o) => o.end_line,
@@ -716,8 +735,10 @@ pub fn coverable_spans(file: &SourceFile) -> Vec<(u32, u32)> {
             };
             out.push((it.line(), end));
         }
-    }
-    items(&file.items, &mut out);
+        Node::Stmt(s) => out.push((s.line, s.end_line)),
+        Node::Expr(Expr::Match(m)) => out.extend(m.arms.iter().map(|a| (a.line, a.end_line))),
+        Node::Expr(_) => {}
+    });
     out.sort();
     out.dedup();
     out
@@ -726,10 +747,5 @@ pub fn coverable_spans(file: &SourceFile) -> Vec<(u32, u32)> {
 /// Convenience: lex + parse in one step.
 pub fn parse_source(src: &str) -> SourceFile {
     let (tokens, _comments) = crate::lexer::lex(src);
-    parse_tokens(&tokens)
-}
-
-/// Parse an already-lexed token stream.
-pub fn parse_tokens(tokens: &[Token]) -> SourceFile {
-    crate::parser::parse(tokens)
+    crate::parser::parse(&tokens)
 }

@@ -3,27 +3,42 @@
 
 use std::path::PathBuf;
 
-/// A protocol message enum to check for exhaustive handling.
+/// A protocol message enum and the checks it takes part in.
 #[derive(Debug, Clone)]
 pub struct ProtoEnum {
     /// Workspace-relative file declaring the enum.
     pub file: String,
     /// Enum name.
     pub name: String,
+    /// Whether every variant needs a non-wildcard match arm somewhere
+    /// in the workspace (`proto-unhandled`) and dispatches on the enum
+    /// may not wildcard (`proto-wildcard`).
+    pub exhaustive: bool,
+    /// Whether the enum is a node set of the control-plane flow graph:
+    /// every variant must also have both a send site
+    /// (expression-position construction) and a handler
+    /// (pattern-position match) — rule `proto-flow`.
+    pub flow: bool,
+    /// Whether handlers of this (flow) enum's requests are retriable and
+    /// must consult an idempotency fence (reply cache / token /
+    /// incarnation).
+    pub retriable: bool,
 }
 
-/// A message enum participating in the control-plane flow graph: every
-/// variant must have both a send site (expression-position
-/// construction) and a handler (pattern-position match arm).
+/// A nondeterminism source: an API whose result is a host fact rather
+/// than a function of the simulation seed.
 #[derive(Debug, Clone)]
-pub struct FlowEnum {
-    /// Workspace-relative file declaring the enum.
-    pub file: String,
-    /// Enum name.
-    pub name: String,
-    /// Whether handlers of this enum's requests are retriable and must
-    /// consult an idempotency fence (reply cache / token / incarnation).
-    pub retriable: bool,
+pub struct NondetSource {
+    /// Path suffix, matched against the segments of expression paths:
+    /// `Instant::now`, `thread_rng`.
+    pub path: String,
+    /// What a use is, for `nondet` findings (`wall-clock read`); `None`
+    /// for wrappers such as `peak_rss_mib` whose body already holds
+    /// the (waived) read.
+    pub what: Option<String>,
+    /// Whether `nondet-taint` follows the value a call returns into
+    /// trace/metric sinks.
+    pub taint: bool,
 }
 
 /// A metric/trace emission method whose name argument must appear in
@@ -55,11 +70,9 @@ pub struct Config {
     /// unordered containers here can leak into traces. Each prefix is
     /// also the binding-collection scope for the unordered-iter rule.
     pub trace_affecting: Vec<String>,
-    /// Protocol message enums whose variants must each have a
-    /// non-wildcard match arm somewhere in the workspace.
+    /// Protocol message enums: exhaustively handled, and/or nodes of
+    /// the control-plane flow graph.
     pub proto_enums: Vec<ProtoEnum>,
-    /// Message enums in the control-plane flow graph (proto-flow rule).
-    pub flow_enums: Vec<FlowEnum>,
     /// Identifier substrings that count as consulting an idempotency
     /// fence inside a retriable-request handler's enclosing function.
     pub fence_idents: Vec<String>,
@@ -67,10 +80,9 @@ pub struct Config {
     pub metric_sinks: Vec<MetricSink>,
     /// Workspace-relative path of the declared metric/trace taxonomy.
     pub registry_path: String,
-    /// Method/function names whose return value is nondeterministic by
-    /// design (waived at the call site) and must not flow into
-    /// trace/metric/event sinks (nondet-taint rule).
-    pub taint_source_fns: Vec<String>,
+    /// Nondeterminism sources outside the allowlist (`nondet` rule),
+    /// and which of them `nondet-taint` follows into sinks.
+    pub nondet_sources: Vec<NondetSource>,
     /// Method names that emit into traces/metrics/event payloads: a
     /// tainted value reaching any argument of these is a finding.
     pub taint_sink_fns: Vec<String>,
@@ -79,7 +91,23 @@ pub struct Config {
 impl Config {
     /// The standard configuration for this workspace.
     pub fn workspace(root: PathBuf) -> Config {
-        let pe = |file: &str, name: &str| ProtoEnum { file: file.into(), name: name.into() };
+        let pe = |file: &str, name: &str| ProtoEnum {
+            file: file.into(),
+            name: name.into(),
+            exhaustive: true,
+            flow: false,
+            retriable: false,
+        };
+        let flow = |file: &str, name: &str, retriable: bool| ProtoEnum {
+            flow: true,
+            retriable,
+            ..pe(file, name)
+        };
+        let src = |path: &str, what: &str, taint: bool| NondetSource {
+            path: path.into(),
+            what: Some(what.into()),
+            taint,
+        };
         let ms = |method: &str, name_arg: usize| MetricSink { method: method.into(), name_arg };
         Config {
             root,
@@ -113,31 +141,14 @@ impl Config {
                 pe("crates/rms/src/proto.rs", "DynResource"),
                 pe("crates/rms/src/proto.rs", "DynReject"),
                 pe("crates/rms/src/proto.rs", "DeviceClass"),
-                pe("crates/dac/src/runtime.rs", "ReqBody"),
+                // Daemon requests are retried by the frontend on lost
+                // replies; handlers must consult the reply cache /
+                // incarnation fence.
+                flow("crates/dac/src/runtime.rs", "ReqBody", true),
                 pe("crates/dac/src/runtime.rs", "RepBody"),
                 pe("crates/dac/src/frontend.rs", "RepBodyOwned"),
-                pe("crates/dac/src/collective.rs", "CollBody"),
-                pe("crates/mpi/src/runtime.rs", "CtlBody"),
-            ],
-            flow_enums: vec![
-                FlowEnum {
-                    file: "crates/dac/src/runtime.rs".into(),
-                    name: "ReqBody".into(),
-                    // Daemon requests are retried by the frontend on
-                    // lost replies; handlers must consult the reply
-                    // cache / incarnation fence.
-                    retriable: true,
-                },
-                FlowEnum {
-                    file: "crates/dac/src/collective.rs".into(),
-                    name: "CollBody".into(),
-                    retriable: false,
-                },
-                FlowEnum {
-                    file: "crates/mpi/src/runtime.rs".into(),
-                    name: "CtlBody".into(),
-                    retriable: false,
-                },
+                flow("crates/dac/src/collective.rs", "CollBody", false),
+                flow("crates/mpi/src/runtime.rs", "CtlBody", false),
             ],
             fence_idents: ["seen", "reply_cache", "tombs", "incarnation", "token", "idempot"]
                 .iter()
@@ -172,11 +183,23 @@ impl Config {
             // Path-qualified where a bare name would collide with a
             // deterministic API (`ctx.now()` is sim time, not wall
             // time); `.elapsed()` on a tainted clock propagates via the
-            // receiver, so it is not itself a source.
-            taint_source_fns: ["Instant::now", "SystemTime::now", "peak_rss_mib"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            // receiver, so it is not itself a source. Explicitly seeded
+            // RNGs (`SmallRng::seed_from_u64`) are not sources.
+            nondet_sources: vec![
+                src("Instant::now", "wall-clock read", true),
+                src("SystemTime::now", "wall-clock read", true),
+                src("thread_rng", "ambient thread-local RNG", false),
+                src("rand::random", "ambient RNG", false),
+                src("thread::spawn", "OS thread", false),
+                src("thread::Builder", "OS thread", false),
+                src("thread::scope", "OS threads", false),
+                src("available_parallelism", "host-dependent probe", false),
+                src("from_entropy", "OS-entropy-seeded RNG", false),
+                src("OsRng", "OS RNG", false),
+                // Host RSS; its `/proc` read is flagged (and waived)
+                // inside the wrapper itself.
+                NondetSource { path: "peak_rss_mib".into(), what: None, taint: true },
+            ],
             taint_sink_fns: [
                 "trace",
                 "span_begin",
@@ -199,7 +222,7 @@ impl Config {
     /// inputs as the workspace config (sinks, fences, taint names,
     /// `metrics.toml` resolved against `root`), but everything is
     /// trace-affecting, nothing is allow-listed, and no enums are
-    /// registered — callers fill in `proto_enums` / `flow_enums`.
+    /// registered — callers fill in `proto_enums`.
     pub fn single_file(root: PathBuf, file: &str) -> Config {
         Config {
             scan_dirs: vec![file.to_string()],
@@ -207,7 +230,6 @@ impl Config {
             nondet_allow_files: Vec::new(),
             trace_affecting: vec![String::new()],
             proto_enums: Vec::new(),
-            flow_enums: Vec::new(),
             ..Config::workspace(root)
         }
     }

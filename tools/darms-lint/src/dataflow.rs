@@ -1,8 +1,8 @@
 //! Intra-procedural taint propagation.
 //!
 //! The lattice is a flat two-point one (clean / tainted) over binding
-//! names. Taint enters at configured source calls (`Instant::now`,
-//! `peak_rss_mib`, ...), propagates through let-bindings, assignments,
+//! names. Taint enters at calls of the configured nondeterminism sources
+//! marked `taint` (`Instant::now`, `peak_rss_mib`, ...), propagates through let-bindings, assignments,
 //! method chains and macro arguments (any tainted operand taints the
 //! result), and is reported when it reaches an argument of a sink
 //! method. Propagation is flow-insensitive within a function — a
@@ -16,6 +16,7 @@
 use std::collections::BTreeSet;
 
 use crate::ast::{Expr, FnItem, StmtKind};
+use crate::config::NondetSource;
 
 /// A tainted value reaching a sink argument.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -29,10 +30,11 @@ pub struct SinkFlow {
 }
 
 pub struct TaintSpec<'a> {
-    /// Source calls. Entries may be bare fn names (`peak_rss_mib`) or
-    /// `Type::method` pairs (`Instant::now`); matched against the last
-    /// one or two path segments of call callees.
-    pub source_fns: &'a [String],
+    /// Nondeterminism sources; those marked `taint` are source calls.
+    /// Paths may be bare fn names (`peak_rss_mib`) or `Type::method`
+    /// pairs (`Instant::now`); matched against the last one or two path
+    /// segments of call callees.
+    pub sources: &'a [NondetSource],
     /// Sink method/function names; any tainted argument is a flow.
     pub sink_fns: &'a [String],
 }
@@ -252,7 +254,7 @@ fn block_tail_taint(
 /// Match a call path against the source list: `peak_rss_mib` matches
 /// the final segment, `Instant::now` the final two.
 fn source_match<'a>(segments: &[String], spec: &TaintSpec<'a>) -> Option<&'a str> {
-    for s in spec.source_fns {
+    for s in spec.sources.iter().filter(|s| s.taint).map(|s| s.path.as_str()) {
         if let Some((ty, method)) = s.split_once("::") {
             let n = segments.len();
             if n >= 2 && segments[n - 2] == ty && segments[n - 1] == method {
@@ -273,9 +275,12 @@ mod tests {
     fn flows(src: &str) -> Vec<SinkFlow> {
         let f = ast::parse_source(src);
         assert!(f.errors.is_empty(), "{:?}", f.errors);
-        let sources = vec!["Instant::now".to_string(), "peak_rss_mib".to_string()];
+        let sources: Vec<NondetSource> = ["Instant::now", "peak_rss_mib"]
+            .iter()
+            .map(|p| NondetSource { path: p.to_string(), what: None, taint: true })
+            .collect();
         let sinks = vec!["trace".to_string(), "observe".to_string()];
-        let spec = TaintSpec { source_fns: &sources, sink_fns: &sinks };
+        let spec = TaintSpec { sources: &sources, sink_fns: &sinks };
         let mut out = Vec::new();
         ast::for_each_fn(&f, &mut |fi, _| out.extend(analyze_fn(fi, &spec)));
         out

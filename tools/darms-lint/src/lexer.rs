@@ -1,5 +1,5 @@
-//! A minimal Rust lexer: the token stream the parser (and the handful
-//! of remaining token-level rules) are built on.
+//! A minimal Rust lexer: the token stream the parser is built on, and
+//! the comments waivers are read from.
 //!
 //! The build environment is hermetic (no crates.io), so `syn` is not
 //! available; instead we tokenise source text by hand. The lexer
@@ -12,9 +12,8 @@
 //! Every token and comment carries its **byte span** `[lo, hi)` into
 //! the source, and its text is the verbatim source slice — so the
 //! stream can be reassembled byte-identically (see the
-//! `lexer_spans.rs` property test), and downstream rules can read
-//! string-literal contents (the metric/trace name registry) without a
-//! second scan.
+//! `lexer_spans.rs` property test), and string literals reach the AST
+//! verbatim (the metric/trace name registry reads their contents).
 
 /// Kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,34 +42,6 @@ impl Token {
 
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
-    }
-
-    /// Is this a string literal (any of `"..."`, `r"..."`, `r#"..."#`,
-    /// `b"..."`)?
-    pub fn is_str_lit(&self) -> bool {
-        self.kind == TokKind::Literal
-            && (self.text.starts_with('"')
-                || self.text.starts_with("r\"")
-                || self.text.starts_with("r#")
-                || self.text.starts_with("b\"")
-                || self.text.starts_with("br"))
-    }
-
-    /// The content of a string literal, quotes and raw-prefix stripped
-    /// (escape sequences are left as written). `None` for non-strings.
-    pub fn str_content(&self) -> Option<&str> {
-        if !self.is_str_lit() {
-            return None;
-        }
-        let s = self.text.strip_prefix('b').unwrap_or(&self.text);
-        if let Some(rest) = s.strip_prefix('r') {
-            let hashes = rest.bytes().take_while(|&b| b == b'#').count();
-            let rest = &rest[hashes..];
-            let rest = rest.strip_prefix('"')?;
-            rest.get(..rest.len().checked_sub(1 + hashes)?)
-        } else {
-            s.strip_prefix('"').and_then(|r| r.strip_suffix('"'))
-        }
     }
 }
 
@@ -399,7 +370,8 @@ mod tests {
         assert_eq!(one.line, 2);
         let raw = t.iter().find(|t| t.kind == TokKind::Literal).unwrap();
         assert_eq!(raw.text, "r#\"a \" b\"#");
-        assert_eq!(raw.str_content(), Some("a \" b"));
+        let lit = crate::ast::LitExpr { text: raw.text.clone(), line: 1 };
+        assert_eq!(lit.str_content(), Some("a \" b"));
     }
 
     #[test]
@@ -417,7 +389,8 @@ mod tests {
         for tok in &t {
             assert_eq!(&src[tok.lo as usize..tok.hi as usize], tok.text);
         }
-        let lit = t.iter().find(|t| t.is_str_lit()).unwrap();
+        let lit = t.iter().find(|t| t.kind == TokKind::Literal).unwrap();
+        let lit = crate::ast::LitExpr { text: lit.text.clone(), line: 1 };
         assert_eq!(lit.str_content(), Some("metric.name"));
     }
 

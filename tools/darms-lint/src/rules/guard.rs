@@ -272,13 +272,10 @@ fn check_livelock(fn_name: &str, body: &Block, rel: &str, out: &mut Vec<Diagnost
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer;
 
     fn lint(src: &str) -> Vec<Diagnostic> {
-        let (tokens, comments) = lexer::lex(src);
-        let ast = crate::parser::parse(&tokens);
-        assert!(ast.errors.is_empty(), "{:?}", ast.errors);
-        let f = FileData { rel: "x.rs".into(), tokens, comments, ast };
+        let f = FileData::parse("x.rs", src);
+        assert!(f.ast.errors.is_empty(), "{:?}", f.ast.errors);
         check(&[f])
     }
 

@@ -2,90 +2,58 @@
 //!
 //! The simulation must be a pure function of its seed; wall-clock
 //! reads, ambient RNGs, OS threads and host-dependent parallelism
-//! probes all break that. Explicitly seeded RNGs (`SmallRng::seed_from_u64`)
-//! are fine and not flagged.
+//! probes all break that. Every expression path is matched against the
+//! configured source list (`Config::nondet_sources`, shared with
+//! `nondet-taint`), plus two shapes no path list can express: string
+//! literals naming `/proc/` (host-state reads) and argless
+//! `XyzRng::default()` construction. Explicitly seeded RNGs
+//! (`SmallRng::seed_from_u64`) are fine and not flagged.
 
+use crate::ast::{self, Expr, Node};
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::lexer::TokKind;
 use crate::FileData;
 
-/// Token-path patterns that constitute a nondeterminism source.
-const PATTERNS: &[(&[&str], &str)] = &[
-    (&["Instant", "::", "now"], "wall-clock read `Instant::now`"),
-    (&["SystemTime", "::", "now"], "wall-clock read `SystemTime::now`"),
-    (&["thread_rng"], "ambient thread-local RNG `thread_rng`"),
-    (&["rand", "::", "random"], "ambient RNG `rand::random`"),
-    (&["thread", "::", "spawn"], "OS thread `thread::spawn`"),
-    (&["thread", "::", "Builder"], "OS thread `thread::Builder`"),
-    (&["thread", "::", "scope"], "OS threads `thread::scope`"),
-    (&["available_parallelism"], "host-dependent probe `available_parallelism`"),
-    (&["from_entropy"], "OS-entropy-seeded RNG `from_entropy`"),
-    (&["OsRng"], "OS RNG `OsRng`"),
-];
-
 pub fn check(cfg: &Config, files: &[FileData]) -> Vec<Diagnostic> {
+    let sources: Vec<(Vec<&str>, String)> = cfg
+        .nondet_sources
+        .iter()
+        .filter_map(|s| {
+            Some((s.path.split("::").collect(), format!("{} `{}`", s.what.as_ref()?, s.path)))
+        })
+        .collect();
     let mut out = Vec::new();
     for f in files {
         if cfg.nondet_allow_files.contains(&f.rel) {
             continue;
         }
-        let toks = &f.tokens;
-        for i in 0..toks.len() {
-            for (pat, what) in PATTERNS {
-                if pat.len() > toks.len() - i {
-                    continue;
+        let mut flag = |line: u32, message: String| {
+            out.push(Diagnostic::new(&f.rel, line, "nondet", message));
+        };
+        ast::walk_file(&f.ast, &mut |n| match n {
+            Node::Expr(Expr::Path(p)) => {
+                let segs: Vec<&str> = p.segments.iter().map(|s| s.as_str()).collect();
+                for (pat, what) in &sources {
+                    if segs.windows(pat.len()).any(|w| w == pat.as_slice()) {
+                        flag(p.line, format!("{what} outside the nondeterminism allowlist"));
+                    }
                 }
-                let hit = pat.iter().zip(&toks[i..]).all(|(p, t)| t.text == **p);
-                if !hit {
-                    continue;
+                // Argless `Default` RNG construction: `XyzRng::default()`.
+                for w in segs.windows(2) {
+                    if w[0].ends_with("Rng") && w[1] == "default" {
+                        flag(p.line, format!("argless default RNG `{}::default()`", w[0]));
+                    }
                 }
-                // Require the first element to start the path: the
-                // previous token must not be `::` (e.g. `time::Instant`
-                // is fine to match, but `my::thread_rng` still counts —
-                // only suppress when the pattern's head is itself a
-                // path *segment* of something longer we already match).
-                if toks[i].kind != TokKind::Ident {
-                    continue;
-                }
-                out.push(Diagnostic::new(
-                    &f.rel,
-                    toks[i].line,
-                    "nondet",
-                    format!("{what} outside the nondeterminism allowlist"),
-                ));
             }
             // Host-state reads through `/proc`: peak RSS, CPU counts
             // and the like are host facts, not functions of the seed.
-            // (The lexer preserves `/proc/...` string literals verbatim
-            // for exactly this check.)
             // darms-lint: allow(nondet, reason = "the detector's own pattern string, not a host read")
-            if toks[i].kind == TokKind::Literal && toks[i].text.contains("/proc/") {
-                out.push(Diagnostic::new(
-                    &f.rel,
-                    toks[i].line,
-                    "nondet",
-                    format!(
-                        "host-state read of {} outside the nondeterminism allowlist",
-                        toks[i].text
-                    ),
-                ));
-            }
-            // Argless `Default` RNG construction: `XyzRng::default()`.
-            if toks[i].kind == TokKind::Ident
-                && toks[i].text.ends_with("Rng")
-                && i + 2 < toks.len()
-                && toks[i + 1].is_punct("::")
-                && toks[i + 2].is_ident("default")
-            {
-                out.push(Diagnostic::new(
-                    &f.rel,
-                    toks[i].line,
-                    "nondet",
-                    format!("argless default RNG `{}::default()`", toks[i].text),
-                ));
-            }
-        }
+            Node::Expr(Expr::Lit(l)) if l.text.contains("/proc/") => flag(
+                l.line,
+                format!("host-state read of {} outside the nondeterminism allowlist", l.text),
+            ),
+            _ => {}
+        });
     }
     out
 }

@@ -4,7 +4,9 @@
 //! to appear in at least one non-wildcard match arm somewhere in the
 //! workspace (`proto-unhandled`), and we flag `_ =>` arms inside
 //! protocol dispatches (`proto-wildcard`) — a wildcard there silently
-//! swallows newly added message kinds.
+//! swallows newly added message kinds. Enums come from the shared
+//! declaration index (`graph::enum_decls`); an arm covers every
+//! `A::B` segment pair of the paths in its pattern and guard.
 //!
 //! Mailbox *filter* matches (`match e.peek::<M>() { ... _ => false }`
 //! inside `recv_where` predicates) are exempt from the wildcard rule:
@@ -13,238 +15,78 @@
 
 use std::collections::BTreeSet;
 
+use crate::ast::{self, Arm, Expr, MatchExpr, Node, Pat};
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::lexer::TokKind;
+use crate::graph;
 use crate::FileData;
 
-struct EnumDecl {
-    name: String,
-    file: String,
-    line: u32,
-    variants: Vec<String>,
-}
-
-/// Extract `enum name { ... }` from `file`.
-fn extract_enum(f: &FileData, name: &str) -> Option<EnumDecl> {
-    let toks = &f.tokens;
-    for i in 0..toks.len() {
-        if !(toks[i].is_ident("enum") && toks.get(i + 1).is_some_and(|t| t.is_ident(name))) {
-            continue;
-        }
-        // Body starts at the next `{`.
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct("{") {
-            j += 1;
-        }
-        let mut variants = Vec::new();
-        let mut depth = 0i32;
-        let mut expecting = true; // at a variant-name position
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if depth == 1 {
-                if t.is_punct("#") {
-                    // Attribute: skip `#[ ... ]`.
-                    let mut nest = 0i32;
-                    j += 1;
-                    while j < toks.len() {
-                        if toks[j].is_punct("[") {
-                            nest += 1;
-                        } else if toks[j].is_punct("]") {
-                            nest -= 1;
-                            if nest == 0 {
-                                break;
-                            }
-                        }
-                        j += 1;
-                    }
-                } else if expecting && t.kind == TokKind::Ident {
-                    variants.push(t.text.clone());
-                    expecting = false;
-                } else if t.is_punct(",") {
-                    expecting = true;
-                }
-            }
-            j += 1;
-        }
-        return Some(EnumDecl {
-            name: name.to_string(),
-            file: f.rel.clone(),
-            line: toks[i].line,
-            variants,
+/// Every consecutive `A::B` segment pair of the paths in an arm's
+/// pattern and guard.
+fn arm_pairs(arm: &Arm) -> Vec<(&str, &str)> {
+    let mut paths: Vec<&[String]> = Vec::new();
+    arm.pat.for_each(&mut |p| match p {
+        Pat::Path { segments, .. }
+        | Pat::TupleStruct { segments, .. }
+        | Pat::Struct { segments, .. } => paths.push(segments),
+        _ => {}
+    });
+    if let Some(g) = &arm.guard {
+        g.for_each(&mut |e| match e {
+            Expr::Path(p) => paths.push(&p.segments),
+            Expr::StructLit(s) => paths.push(&s.path.segments),
+            Expr::Macro(m) => paths.push(&m.path),
+            _ => {}
         });
     }
-    None
+    paths.iter().flat_map(|segs| segs.windows(2).map(|w| (w[0].as_str(), w[1].as_str()))).collect()
 }
 
-/// One parsed match arm: the `A::B` path pairs in its pattern, whether
-/// the pattern is a bare `_`, and the line of its first token.
-struct Arm {
-    pairs: Vec<(String, String)>,
-    is_bare_wildcard: bool,
-    line: u32,
-}
-
-struct MatchExpr {
-    file: String,
-    scrutinee_has_peek: bool,
-    arms: Vec<Arm>,
-}
-
-/// Parse every `match` expression in `f` (token-level, best effort).
-fn parse_matches(f: &FileData) -> Vec<MatchExpr> {
-    let toks = &f.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("match") {
-            continue;
-        }
-        // Scrutinee: tokens until the `{` at bracket depth 0.
-        let mut depth = 0i32;
-        let mut j = i + 1;
-        let mut has_peek = false;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct("(") || t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct("{") {
-                break;
-            }
-            if t.is_ident("peek") || t.is_ident("try_recv_where") {
-                has_peek = true;
-            }
-            j += 1;
-        }
-        if j >= toks.len() || j == i + 1 {
-            continue; // `match` in e.g. a comment-free macro position
-        }
-        // Arms: between this `{` and its matching `}`.
-        let body_start = j + 1;
-        let mut nest = 1i32;
-        let mut k = body_start;
-        let mut arms = Vec::new();
-        let mut arm_start = body_start;
-        while k < toks.len() && nest > 0 {
-            let t = &toks[k];
-            if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
-                nest += 1;
-            } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
-                nest -= 1;
-            } else if nest == 1 && t.is_punct("=>") {
-                arms.push(parse_arm(f, arm_start, k));
-                // Skip the arm body: a `{ ... }` block or tokens to the
-                // `,` at this nesting level.
-                let mut b = k + 1;
-                if toks.get(b).is_some_and(|t| t.is_punct("{")) {
-                    let mut bn = 0i32;
-                    while b < toks.len() {
-                        if toks[b].is_punct("{") {
-                            bn += 1;
-                        } else if toks[b].is_punct("}") {
-                            bn -= 1;
-                            if bn == 0 {
-                                break;
-                            }
-                        }
-                        b += 1;
-                    }
-                    b += 1;
-                    if toks.get(b).is_some_and(|t| t.is_punct(",")) {
-                        b += 1;
-                    }
-                } else {
-                    let mut bn = 0i32;
-                    while b < toks.len() {
-                        let u = &toks[b];
-                        if u.is_punct("{") || u.is_punct("(") || u.is_punct("[") {
-                            bn += 1;
-                        } else if u.is_punct(")") || u.is_punct("]") {
-                            bn -= 1;
-                        } else if u.is_punct("}") {
-                            if bn == 0 {
-                                break; // end of the match body
-                            }
-                            bn -= 1;
-                        } else if bn == 0 && u.is_punct(",") {
-                            b += 1;
-                            break;
-                        }
-                        b += 1;
-                    }
-                }
-                k = b;
-                arm_start = k;
-                continue;
-            }
-            k += 1;
-        }
-        out.push(MatchExpr { file: f.rel.clone(), scrutinee_has_peek: has_peek, arms });
-    }
-    out
-}
-
-fn parse_arm(f: &FileData, start: usize, end: usize) -> Arm {
-    let toks = &f.tokens;
-    let pat = &toks[start..end];
-    let mut pairs = Vec::new();
-    for w in 0..pat.len().saturating_sub(2) {
-        if pat[w].kind == TokKind::Ident
-            && pat[w + 1].is_punct("::")
-            && pat[w + 2].kind == TokKind::Ident
-        {
-            pairs.push((pat[w].text.clone(), pat[w + 2].text.clone()));
-        }
-    }
-    let is_bare_wildcard = pat.len() == 1 && pat[0].text == "_";
-    let line = pat.first().map(|t| t.line).unwrap_or(0);
-    Arm { pairs, is_bare_wildcard, line }
+/// Does the scrutinee read a mailbox through `peek` / `try_recv_where`?
+fn is_filter(m: &MatchExpr) -> bool {
+    let filter = |s: &str| s == "peek" || s == "try_recv_where";
+    let mut hit = false;
+    m.scrutinee.for_each(&mut |e| match e {
+        Expr::MethodCall(c) => hit |= filter(&c.method),
+        Expr::Field(_, name, _) => hit |= filter(name),
+        Expr::Path(p) => hit |= p.segments.iter().any(|s| filter(s)),
+        _ => {}
+    });
+    hit
 }
 
 pub fn check(cfg: &Config, files: &[FileData]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let enums: Vec<EnumDecl> = cfg
-        .proto_enums
-        .iter()
-        .filter_map(|pe| {
-            files.iter().find(|f| f.rel == pe.file).and_then(|f| extract_enum(f, &pe.name))
-        })
-        .collect();
+    let mut enums = graph::enum_decls(cfg, files);
+    enums.retain(|e| e.spec.exhaustive);
     if enums.is_empty() {
         return out;
     }
-    let enum_names: BTreeSet<&str> = enums.iter().map(|e| e.name.as_str()).collect();
+    let enum_names: BTreeSet<&str> = enums.iter().map(|e| e.spec.name.as_str()).collect();
 
-    let matches: Vec<MatchExpr> = files.iter().flat_map(parse_matches).collect();
+    let mut matches: Vec<(&str, &MatchExpr)> = Vec::new();
+    for f in files {
+        ast::walk_file(&f.ast, &mut |n| {
+            if let Node::Expr(Expr::Match(m)) = n {
+                matches.push((&f.rel, m));
+            }
+        });
+    }
 
     // Variant coverage: every variant needs a non-wildcard arm pattern
     // mentioning `Enum::Variant` somewhere.
-    let mut covered: BTreeSet<(String, String)> = BTreeSet::new();
-    for m in &matches {
-        for arm in &m.arms {
-            for (a, b) in &arm.pairs {
-                covered.insert((a.clone(), b.clone()));
-            }
-        }
-    }
+    let covered: BTreeSet<(&str, &str)> =
+        matches.iter().flat_map(|(_, m)| &m.arms).flat_map(arm_pairs).collect();
     for e in &enums {
-        for v in &e.variants {
-            if !covered.contains(&(e.name.clone(), v.clone())) {
+        for (v, _) in e.variants {
+            if !covered.contains(&(e.spec.name.as_str(), v.as_str())) {
                 out.push(Diagnostic::new(
-                    &e.file,
+                    &e.spec.file,
                     e.line,
                     "proto-unhandled",
                     format!(
                         "protocol variant `{}::{}` has no non-wildcard match arm in any handler",
-                        e.name, v
+                        e.spec.name, v
                     ),
                 ));
             }
@@ -252,24 +94,19 @@ pub fn check(cfg: &Config, files: &[FileData]) -> Vec<Diagnostic> {
     }
 
     // Wildcard arms inside protocol dispatches.
-    for m in &matches {
-        if m.scrutinee_has_peek {
-            continue;
-        }
+    for &(file, m) in &matches {
         let is_dispatch =
-            m.arms.iter().any(|a| a.pairs.iter().any(|(e, _)| enum_names.contains(e.as_str())));
-        if !is_dispatch {
+            m.arms.iter().any(|a| arm_pairs(a).iter().any(|(e, _)| enum_names.contains(e)));
+        if !is_dispatch || is_filter(m) {
             continue;
         }
-        for arm in &m.arms {
-            if arm.is_bare_wildcard {
-                out.push(Diagnostic::new(
-                    &m.file,
-                    arm.line,
-                    "proto-wildcard",
-                    "wildcard `_ =>` arm in a protocol dispatch swallows new message kinds",
-                ));
-            }
+        for arm in m.arms.iter().filter(|a| a.pat.is_bare_wild() && a.guard.is_none()) {
+            out.push(Diagnostic::new(
+                file,
+                arm.line,
+                "proto-wildcard",
+                "wildcard `_ =>` arm in a protocol dispatch swallows new message kinds",
+            ));
         }
     }
     out

@@ -4,8 +4,9 @@
 //! A `// darms-lint: allow(nondet, ...)` waiver says "this wall-clock /
 //! RSS read is fine *where it is*" — it says nothing about where the
 //! value goes afterwards. This rule closes that transitive blind spot:
-//! taint starts at the nondeterministic producers themselves
-//! (`Instant::now`, `SystemTime::now`, `peak_rss_mib`), propagates
+//! taint starts at the nondeterministic producers themselves (the
+//! `taint` entries of the shared nondeterminism source list:
+//! `Instant::now`, `SystemTime::now`, `peak_rss_mib`), propagates
 //! through let-bindings, assignments, method chains and `format!`
 //! (see `crate::dataflow`), and is reported when it reaches an
 //! argument of a trace/metric/event sink. A tainted value that stays
@@ -23,7 +24,7 @@ use crate::diag::Diagnostic;
 use crate::FileData;
 
 pub fn check(cfg: &Config, files: &[FileData]) -> Vec<Diagnostic> {
-    let spec = TaintSpec { source_fns: &cfg.taint_source_fns, sink_fns: &cfg.taint_sink_fns };
+    let spec = TaintSpec { sources: &cfg.nondet_sources, sink_fns: &cfg.taint_sink_fns };
     let mut out = Vec::new();
     for f in files {
         if cfg.nondet_allow_files.iter().any(|a| a == &f.rel) {
@@ -49,15 +50,13 @@ pub fn check(cfg: &Config, files: &[FileData]) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer;
     use std::path::PathBuf;
 
     fn lint(rel: &str, src: &str) -> Vec<Diagnostic> {
-        let (tokens, comments) = lexer::lex(src);
-        let ast = crate::parser::parse(&tokens);
-        assert!(ast.errors.is_empty(), "{:?}", ast.errors);
+        let f = FileData::parse(rel, src);
+        assert!(f.ast.errors.is_empty(), "{:?}", f.ast.errors);
         let cfg = Config::workspace(PathBuf::from("."));
-        check(&cfg, &[FileData { rel: rel.into(), tokens, comments, ast }])
+        check(&cfg, &[f])
     }
 
     #[test]

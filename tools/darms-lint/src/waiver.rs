@@ -8,9 +8,9 @@
 //! malformed waiver is itself a finding (rule `waiver`) and suppresses
 //! nothing.
 
-use crate::ast;
+use crate::ast::{self, SourceFile};
 use crate::diag::Diagnostic;
-use crate::FileData;
+use crate::lexer::{Comment, Token};
 
 /// Rules that may be waived.
 pub const KNOWN_RULES: &[&str] = &[
@@ -29,16 +29,25 @@ pub const KNOWN_RULES: &[&str] = &[
 pub struct Waiver {
     pub file: String,
     pub line: u32,
+    /// Last line the waiver covers: through the end of the construct
+    /// that starts on the next source line.
+    pub end: u32,
     pub rule: String,
     pub reason: String,
 }
 
-/// Parse the waivers in one file. Malformed waivers come back as
-/// diagnostics instead.
-pub fn parse(file: &FileData) -> (Vec<Waiver>, Vec<Diagnostic>) {
+/// Parse the waivers in one file from its comments. Malformed waivers
+/// come back as diagnostics instead.
+pub fn parse(
+    rel: &str,
+    comments: &[Comment],
+    tokens: &[Token],
+    ast: &SourceFile,
+) -> (Vec<Waiver>, Vec<Diagnostic>) {
     let mut waivers = Vec::new();
     let mut diags = Vec::new();
-    for c in &file.comments {
+    let mut spans = None;
+    for c in comments {
         // Waivers live in plain comments only; doc comments (`///`,
         // `//!`, `/**`, `/*!`) merely *talk about* the syntax.
         let body = c.text.trim_start_matches('/').trim_start_matches('*');
@@ -47,7 +56,7 @@ pub fn parse(file: &FileData) -> (Vec<Waiver>, Vec<Diagnostic>) {
         }
         let Some(pos) = c.text.find("darms-lint:") else { continue };
         let rest = c.text[pos + "darms-lint:".len()..].trim();
-        let bad = |msg: &str| Diagnostic::new(&file.rel, c.line, "waiver", msg.to_string());
+        let bad = |msg: &str| Diagnostic::new(rel, c.line, "waiver", msg.to_string());
         let Some(inner) = rest.strip_prefix("allow(").and_then(|r| r.rfind(')').map(|e| &r[..e]))
         else {
             diags.push(bad("malformed waiver: expected `allow(<rule>, reason = \"...\")`"));
@@ -74,9 +83,11 @@ pub fn parse(file: &FileData) -> (Vec<Waiver>, Vec<Diagnostic>) {
             .map(|r| r.trim().to_string());
         match reason {
             Some(r) if !r.is_empty() => {
+                let spans = spans.get_or_insert_with(|| ast::coverable_spans(ast));
                 waivers.push(Waiver {
-                    file: file.rel.clone(),
+                    file: rel.to_string(),
                     line: c.line,
+                    end: covered_end(tokens, spans, c.line),
                     rule: rule.to_string(),
                     reason: r,
                 });
@@ -89,37 +100,29 @@ pub fn parse(file: &FileData) -> (Vec<Waiver>, Vec<Diagnostic>) {
     (waivers, diags)
 }
 
-/// The line range a waiver at `line` covers: its own line (trailing
+/// The last line a waiver at `line` covers: its own line (trailing
 /// comment) through the end of the statement / match arm / item that
 /// starts on the next source line. Falls back to just the next token
 /// line when no parsed span starts there (e.g. a waiver above a
 /// mid-expression continuation line).
-fn covered_lines(file: &FileData, line: u32) -> (u32, u32) {
-    let next = file.tokens.iter().map(|t| t.line).filter(|&l| l > line).min().unwrap_or(line);
-    let spans = ast::coverable_spans(&file.ast);
+fn covered_end(tokens: &[Token], spans: &[(u32, u32)], line: u32) -> u32 {
+    let next = tokens.iter().map(|t| t.line).find(|&l| l > line).unwrap_or(line);
     // The *outermost* coverable construct starting on `next`: the one
     // with the greatest end line.
     let end = spans.iter().filter(|(lo, _)| *lo == next).map(|(_, hi)| *hi).max().unwrap_or(next);
-    (line, end.max(next))
+    end.max(next)
 }
 
 /// Drop findings covered by a waiver. `waiver`-rule findings are never
 /// suppressed.
-pub fn apply(findings: Vec<Diagnostic>, waivers: &[Waiver], files: &[FileData]) -> Vec<Diagnostic> {
+pub fn apply(findings: Vec<Diagnostic>, waivers: &[Waiver]) -> Vec<Diagnostic> {
     findings
         .into_iter()
         .filter(|d| {
-            if d.rule == "waiver" {
-                return true;
-            }
-            !waivers.iter().any(|w| {
-                if w.file != d.file || w.rule != d.rule {
-                    return false;
-                }
-                let Some(f) = files.iter().find(|f| f.rel == w.file) else { return false };
-                let (a, b) = covered_lines(f, w.line);
-                d.line >= a && d.line <= b
-            })
+            d.rule == "waiver"
+                || !waivers.iter().any(|w| {
+                    w.file == d.file && w.rule == d.rule && (w.line..=w.end).contains(&d.line)
+                })
         })
         .collect()
 }
