@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use crate::envelope::{ActorId, Endpoint, Envelope, ProcessId};
 use crate::metrics::MetricsRegistry;
 use crate::process::ProcBody;
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceEventKind, TraceSource, Tracer};
 
@@ -131,23 +131,11 @@ pub struct SimConfig {
     pub horizon: SimTime,
     /// Record trace lines.
     pub trace: bool,
-    /// Echo trace lines to stderr as they happen (debugging aid).
-    pub trace_echo: bool,
-    /// Which data structure backs the event queue. Both kinds yield the
-    /// exact same `(time, seq)` order; this is a performance knob.
-    pub queue_kind: QueueKind,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            seed: 0x5eed_dac5,
-            max_events: 50_000_000,
-            horizon: SimTime::MAX,
-            trace: false,
-            trace_echo: false,
-            queue_kind: QueueKind::Heap,
-        }
+        SimConfig { seed: 0x5eed_dac5, max_events: 50_000_000, horizon: SimTime::MAX, trace: false }
     }
 }
 
@@ -274,11 +262,10 @@ impl Kernel {
     pub(crate) fn new(config: SimConfig) -> Self {
         let tracer = Tracer::new();
         tracer.set_enabled(config.trace);
-        tracer.set_echo(config.trace_echo);
         Kernel {
             now: SimTime::ZERO,
             seq: 0,
-            queue: EventQueue::new(config.queue_kind),
+            queue: EventQueue::new(),
             procs: Vec::new(),
             shutdown: false,
             rng: SmallRng::seed_from_u64(config.seed),

@@ -68,7 +68,6 @@ pub use metrics::{
     exact_quantile, HistogramSummary, MetricsRegistry, QuantileEstimator, SloSummary,
 };
 pub use process::{Proc, ProcFuture};
-pub use queue::QueueKind;
 pub use recorder::{percentile, Recorder, Sample, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceEventKind, TraceSource, Tracer};

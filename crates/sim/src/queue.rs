@@ -1,47 +1,23 @@
-//! Pluggable event queues: the default binary heap and an experimental
-//! calendar queue, both yielding events in strict `(time, seq)` order.
-//!
-//! The engine only talks to [`EventQueue`]; which structure backs it is
-//! a [`SimConfig`](crate::SimConfig) knob (`queue_kind`). The heap is
-//! the default and what every golden trace was recorded with; the
-//! calendar queue ([Brown 1988]'s multi-list design) trades the heap's
-//! `O(log n)` push/pop for amortized `O(1)` when event times are spread
-//! roughly uniformly, and is benchmarked against the heap by
-//! `perf_report`. Both yield the exact same order — `(time, seq)` keys
-//! are unique because `seq` is a monotone scheduling counter — so the
-//! choice is a pure performance knob (see the cross-queue property test
-//! in `tests/queue_order.rs`).
+//! The kernel's event queue: a binary heap yielding events in strict
+//! `(time, seq)` order. `(time, seq)` keys are unique because `seq` is
+//! a monotone scheduling counter, so pop order is fully deterministic.
 //!
 //! ## Indexed payloads
 //!
-//! The ordering structures do not store events. A full
+//! The heap does not store events. A full
 //! [`Scheduled`] is ~72 bytes (the `EventKind` carries an envelope),
 //! and a binary-heap sift memmoves the element once per level — at
 //! tens of millions of events per second that memory traffic dominates
 //! the kernel's profile. Instead, payloads live in a free-list slab and
-//! the heap/calendar order 24-byte `(time, seq, slab index)` keys; each
+//! the heap orders 24-byte `(time, seq, slab index)` keys; each
 //! `EventKind` is written once on push and read once on pop no matter
 //! how far its key travels.
-//!
-//! [Brown 1988]: "Calendar Queues: A Fast O(1) Priority Queue
-//! Implementation for the Simulation Event Set Problem", CACM 31(10).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::kernel::{EventKind, Scheduled};
 use crate::time::SimTime;
-
-/// Which data structure backs the kernel's event queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueKind {
-    /// Binary heap ordered by `(time, seq)` — the default.
-    #[default]
-    Heap,
-    /// Calendar queue (bucketed by time band, amortized O(1) for
-    /// uniformly spread events).
-    Calendar,
-}
 
 /// Compact ordering key: the `(time, seq)` sort key plus the payload's
 /// slab slot. `(time, seq)` alone is unique, so `idx` never decides a
@@ -83,235 +59,43 @@ impl PayloadSlab {
     }
 }
 
-/// The kernel's pending-event set behind a uniform interface.
+/// The kernel's pending-event set.
 pub(crate) struct EventQueue {
     slab: PayloadSlab,
-    q: QueueImpl,
-}
-
-enum QueueImpl {
-    Heap(BinaryHeap<Reverse<Key>>),
-    Calendar(CalendarQueue),
+    heap: BinaryHeap<Reverse<Key>>,
 }
 
 impl EventQueue {
-    pub(crate) fn new(kind: QueueKind) -> Self {
+    pub(crate) fn new() -> Self {
         // Pre-sized: cluster scenarios keep hundreds of in-flight
         // events; growing the structures mid-run is avoidable churn.
-        let slab = PayloadSlab { slots: Vec::with_capacity(256), free: Vec::with_capacity(64) };
-        let q = match kind {
-            QueueKind::Heap => QueueImpl::Heap(BinaryHeap::with_capacity(256)),
-            QueueKind::Calendar => QueueImpl::Calendar(CalendarQueue::new()),
-        };
-        EventQueue { slab, q }
+        EventQueue {
+            slab: PayloadSlab { slots: Vec::with_capacity(256), free: Vec::with_capacity(64) },
+            heap: BinaryHeap::with_capacity(256),
+        }
     }
 
     #[inline]
     pub(crate) fn push(&mut self, ev: Scheduled) {
         let key = Key { time: ev.time, seq: ev.seq, idx: self.slab.insert(ev.kind) };
-        match &mut self.q {
-            QueueImpl::Heap(h) => h.push(Reverse(key)),
-            QueueImpl::Calendar(c) => c.push(key),
-        }
+        self.heap.push(Reverse(key));
     }
 
     /// Remove and return the event with the smallest `(time, seq)` key.
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<Scheduled> {
-        let key = match &mut self.q {
-            QueueImpl::Heap(h) => h.pop().map(|Reverse(k)| k),
-            QueueImpl::Calendar(c) => c.pop(),
-        }?;
+        let Reverse(key) = self.heap.pop()?;
         Some(Scheduled { time: key.time, seq: key.seq, kind: self.slab.take(key.idx) })
     }
 
     /// The `(time, seq)` key of the next event without removing it.
     #[inline]
     pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.q {
-            QueueImpl::Heap(h) => h.peek().map(|Reverse(k)| (k.time, k.seq)),
-            QueueImpl::Calendar(c) => c.peek_key(),
-        }
+        self.heap.peek().map(|Reverse(k)| (k.time, k.seq))
     }
 
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        match &self.q {
-            QueueImpl::Heap(h) => h.len(),
-            QueueImpl::Calendar(c) => c.len,
-        }
-    }
-}
-
-/// A calendar queue: events are hashed by time into `width`-nanosecond
-/// buckets on a ring; pops scan forward from the current bucket, one
-/// "day" (bucket window) at a time. Within a bucket events are kept
-/// unsorted and the pop min-scans the bucket — `(time, seq)` keys are
-/// unique, so the minimum is unambiguous and pop order is deterministic
-/// no matter how events landed in the bucket.
-struct CalendarQueue {
-    /// Ring of unsorted buckets.
-    buckets: Vec<Vec<Key>>,
-    /// Bucket width in nanoseconds (>= 1).
-    width: u64,
-    /// Total pending events.
-    len: usize,
-    /// Ring index of the bucket whose window we are draining.
-    cur: usize,
-    /// Low edge (nanos) of bucket `cur`'s current window.
-    cur_floor: u64,
-    /// Cached key of the next event (kept warm by `peek_key`, refined
-    /// by `push`, invalidated by `pop`).
-    min_cache: Option<(SimTime, u64)>,
-    /// Location `(bucket, index)` of the cached min, when known: lets a
-    /// pop right after a peek (the engine's per-event pattern) take the
-    /// slot directly instead of re-scanning.
-    min_loc: Option<(usize, usize)>,
-}
-
-const MIN_BUCKETS: usize = 16;
-
-impl CalendarQueue {
-    fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1_000, // 1 µs; resizes adapt it to the real spread
-            len: 0,
-            cur: 0,
-            cur_floor: 0,
-            min_cache: None,
-            min_loc: None,
-        }
-    }
-
-    fn bucket_of(&self, t: u64) -> usize {
-        ((t / self.width) as usize) % self.buckets.len()
-    }
-
-    fn push(&mut self, key: Key) {
-        let b = self.bucket_of(key.time.as_nanos());
-        if let Some(min) = self.min_cache {
-            if (key.time, key.seq) < min {
-                self.min_cache = Some((key.time, key.seq));
-                self.min_loc = Some((b, self.buckets[b].len()));
-            }
-        }
-        self.buckets[b].push(key);
-        self.len += 1;
-        if self.len > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        if self.len == 0 {
-            return None;
-        }
-        self.min_cache = None;
-        // Fast path: a peek (or a push that undercut it) already located
-        // the min; take it directly and re-anchor the drain position on
-        // its window (nothing earlier can exist or be pushed — the
-        // kernel clamps schedule times to `now`).
-        if let Some((b, i)) = self.min_loc.take() {
-            let key = self.buckets[b].swap_remove(i);
-            self.len -= 1;
-            self.cur = b;
-            let t = key.time.as_nanos();
-            self.cur_floor = t - (t % self.width);
-            if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
-                self.resize(self.buckets.len() / 2);
-            }
-            return Some(key);
-        }
-        let n = self.buckets.len();
-        for _ in 0..n {
-            let end = self.cur_floor.saturating_add(self.width);
-            let bucket = &self.buckets[self.cur];
-            let mut best: Option<(usize, (SimTime, u64))> = None;
-            for (i, k) in bucket.iter().enumerate() {
-                if k.time.as_nanos() < end {
-                    let key = (k.time, k.seq);
-                    if best.is_none_or(|(_, b)| key < b) {
-                        best = Some((i, key));
-                    }
-                }
-            }
-            if let Some((i, _)) = best {
-                let key = self.buckets[self.cur].swap_remove(i);
-                self.len -= 1;
-                if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
-                    self.resize(self.buckets.len() / 2);
-                }
-                return Some(key);
-            }
-            self.cur = (self.cur + 1) % n;
-            self.cur_floor = end;
-        }
-        // A full year passed with nothing in-window: the events are
-        // sparse relative to the calendar. Jump straight to the global
-        // minimum and re-anchor the calendar on its window.
-        let (b, i) = self.global_min().expect("len > 0");
-        let key = self.buckets[b].swap_remove(i);
-        self.len -= 1;
-        self.cur = b;
-        let t = key.time.as_nanos();
-        self.cur_floor = t - (t % self.width);
-        Some(key)
-    }
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.min_cache.is_none() {
-            let (b, i) = self.global_min().expect("len > 0");
-            let k = &self.buckets[b][i];
-            self.min_cache = Some((k.time, k.seq));
-            self.min_loc = Some((b, i));
-        }
-        self.min_cache
-    }
-
-    /// `(bucket, index)` of the event with the globally smallest key.
-    /// O(len); used by `peek_key` (cached) and the sparse-pop fallback.
-    fn global_min(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize, (SimTime, u64))> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, k) in bucket.iter().enumerate() {
-                let key = (k.time, k.seq);
-                if best.is_none_or(|(_, _, b)| key < b) {
-                    best = Some((b, i, key));
-                }
-            }
-        }
-        best.map(|(b, i, _)| (b, i))
-    }
-
-    /// Rebuild with `nbuckets` buckets and a width fitted to the
-    /// current spread (mean gap between pending events, so that one
-    /// bucket holds a handful). Deterministic: depends only on the
-    /// pending event set.
-    fn resize(&mut self, nbuckets: usize) {
-        let keys: Vec<Key> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for k in &keys {
-            let t = k.time.as_nanos();
-            lo = lo.min(t);
-            hi = hi.max(t);
-        }
-        let span = hi.saturating_sub(lo);
-        // Mean gap; clamp so same-time storms (span 0) still work.
-        self.width = (span / keys.len().max(1) as u64).max(1);
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.cur_floor = lo - (lo % self.width);
-        self.cur = ((lo / self.width) as usize) % nbuckets;
-        self.len = 0;
-        let cache = self.min_cache;
-        for k in keys {
-            self.push(k);
-        }
-        self.min_cache = cache;
-        // Reinsertion scrambled bucket indices; the next pop re-scans.
-        self.min_loc = None;
+        self.heap.len()
     }
 }

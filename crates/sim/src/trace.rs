@@ -79,7 +79,6 @@ pub struct TraceEvent {
 #[derive(Default)]
 struct TracerInner {
     enabled: AtomicBool,
-    echo: AtomicBool,
     buf: Mutex<Vec<TraceEvent>>,
 }
 
@@ -115,19 +114,11 @@ impl Tracer {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Echo events to stderr as they are recorded (debugging aid).
-    pub fn set_echo(&self, on: bool) {
-        self.inner.echo.store(on, Ordering::Relaxed);
-    }
-
     /// Record an already-built event (use [`Tracer::emit_with`] on hot
     /// paths so the event is only built when tracing is on).
     pub fn emit(&self, ev: TraceEvent) {
         if !self.enabled() {
             return;
-        }
-        if self.inner.echo.load(Ordering::Relaxed) {
-            eprintln!("[{}] {}: {} {}", ev.time, ev.source_name, ev.name, ev.detail);
         }
         self.inner.buf.lock().push(ev);
     }
