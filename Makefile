@@ -23,11 +23,13 @@
 # target/lint/diagnostics.json, and fails if any flow-enum variant is
 # missing a send site or handler (orphan sends / dead handlers gate
 # `make verify` through it); `make deny` audits Cargo.lock and the
-# crate licenses against deny.toml.
+# crate licenses against deny.toml. `make bench-selftest` runs the
+# frozen benchmark package's own tests (perfbench/), so a workspace API
+# change that breaks the benchmark fails `make verify`.
 
-.PHONY: verify fmt lint lint-darms lint-graph deny build test bench bench-smoke bench-check chaos-smoke soak-smoke fabric-smoke
+.PHONY: verify fmt lint lint-darms lint-graph deny build test bench bench-smoke bench-check bench-selftest chaos-smoke soak-smoke fabric-smoke
 
-verify: fmt lint lint-darms lint-graph deny build test chaos-smoke soak-smoke fabric-smoke bench-check
+verify: fmt lint lint-darms lint-graph deny build test bench-selftest chaos-smoke soak-smoke fabric-smoke bench-check
 
 fmt:
 	cargo fmt --all --check
@@ -59,6 +61,9 @@ bench-smoke:
 
 bench-check:
 	cargo run --release -p darms-experiments --bin perf_report -- --smoke --out target/BENCH_sim.smoke.json --check BENCH_sim.json
+
+bench-selftest:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 chaos-smoke:
 	cargo run --release -p darms-experiments --bin chaos_sweep -- --smoke

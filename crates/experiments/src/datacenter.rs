@@ -15,8 +15,10 @@
 //! every iteration, so deeper queues grow both the per-iteration work
 //! and the iteration count, quadratically in load at any cluster size.
 //! No health monitor and no fault plan: the cluster quiesces on its
-//! own once the last job drains.
+//! own once the last job drains. A run still busy at the [`HORIZON`] is
+//! wedged, and fails with a summary of the watcher's last `qstat`.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use darms::prelude::*;
@@ -24,6 +26,8 @@ use darms_workload::Dist;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::invariants;
 
 /// Parameters of one datacenter run.
 #[derive(Clone, Copy, Debug)]
@@ -79,6 +83,10 @@ pub struct DatacenterOutcome {
     /// Accelerator pool size.
     pub pool: usize,
 }
+
+/// Simulated-time horizon of a run, as for the benchmark's workloads: a
+/// run that has not quiesced by then is wedged.
+pub const HORIZON: SimDuration = SimDuration::from_secs(6 * 3600);
 
 /// Number of slices the diurnal curve is discretized into.
 const SLICES: usize = 48;
@@ -145,6 +153,7 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
     // scheduler degenerates into a busy loop of O(hosts) snapshots.
     cluster_cfg.sched.poll_coalesce = true;
     cluster_cfg.sched.incremental_snapshots = true;
+    cluster_cfg.sim.horizon = SimTime::ZERO + HORIZON;
     let mut cluster = Cluster::build(cluster_cfg);
     let dac = cluster.dac.clone();
 
@@ -197,13 +206,21 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
     // Watch for quiescence: every job terminal. The poll is coarse so
     // the watcher contributes negligible traffic next to the workload.
     let n_jobs = cfg.jobs;
-    let completed = Arc::new(Mutex::new(0usize));
-    let out = completed.clone();
+    let watch = Arc::new(Mutex::new(Watch::default()));
+    let out = watch.clone();
     cluster.client_after("watch", SimDuration::from_secs(5), move |c| async move {
         loop {
             let st = c.qstat().await;
-            if st.len() == n_jobs && st.iter().all(|s| s.state.is_terminal()) {
-                *out.lock() = st.len();
+            let done = st.len() == n_jobs && st.iter().all(|s| s.state.is_terminal());
+            {
+                let mut w = out.lock();
+                if w.resurrected.is_empty() {
+                    w.resurrected = invariants::check_no_resurrection(&st);
+                }
+                w.at = c.proc.now();
+                w.last = st;
+            }
+            if done {
                 break;
             }
             c.proc.sleep(SimDuration::from_secs(60)).await;
@@ -212,8 +229,11 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
 
     let stats = cluster.run();
     assert_eq!(stats.process_panics, 0, "datacenter run must be clean");
-    let completed = *completed.lock();
-    assert_eq!(completed, cfg.jobs, "all jobs must reach a terminal state");
+    let w = watch.lock();
+    let completed = w.last.iter().filter(|s| s.state.is_terminal()).count();
+    if completed != cfg.jobs || !w.resurrected.is_empty() {
+        panic!("{}", w.stuck_summary(cfg.jobs));
+    }
     DatacenterOutcome {
         stats,
         jobs: cfg.jobs,
@@ -222,6 +242,48 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
         dyn_jobs,
         compute_nodes,
         pool,
+    }
+}
+
+/// What the quiescence watcher saw last.
+#[derive(Default)]
+struct Watch {
+    /// The last `qstat` and when it was answered.
+    last: Vec<JobStatus>,
+    at: SimTime,
+    /// Violations of the first `qstat` showing a resurrected job.
+    resurrected: Vec<String>,
+}
+
+impl Watch {
+    /// Stuck-run summary: jobs per state in the last `qstat`, the first
+    /// non-terminal jobs with their completion times, and any resurrection.
+    fn stuck_summary(&self, jobs: usize) -> String {
+        let mut per_state: BTreeMap<String, usize> = BTreeMap::new();
+        for s in &self.last {
+            *per_state.entry(format!("{:?}", s.state)).or_default() += 1;
+        }
+        let live: Vec<String> = self
+            .last
+            .iter()
+            .filter(|s| !s.state.is_terminal())
+            .take(10)
+            .map(|s| match s.completed {
+                Some(t) => format!("{} {:?} completed {t}s", s.id, s.state),
+                None => format!("{} {:?} completed -", s.id, s.state),
+            })
+            .collect();
+        let mut out = format!(
+            "datacenter run not quiescent (horizon {HORIZON:?}): last qstat at {}s lists {} of {jobs} \
+             jobs; per state {per_state:?}; first non-terminal [{}]",
+            self.at,
+            self.last.len(),
+            live.join(", ")
+        );
+        if !self.resurrected.is_empty() {
+            out += &format!("; first resurrections [{}]", self.resurrected.join(", "));
+        }
+        out
     }
 }
 
@@ -255,5 +317,16 @@ mod tests {
         assert_eq!(a.completed, 16);
         assert!(a.dyn_jobs > 0, "dynamic path exercised: {a:?}");
         assert!(a.stats.events > 1_000, "non-trivial event count: {}", a.stats.events);
+    }
+
+    /// The overload wedge of ROADMAP item 1: at 4000 jobs on 1000 hosts,
+    /// timed-out jobs come back to life and the run never quiesces. The
+    /// watchdog turns the wedge into a failure with a stuck-run summary
+    /// (`cargo test --release -p darms-experiments -- --ignored wedge`).
+    #[test]
+    #[ignore = "slow: simulates the 6 h horizon at 1000 hosts"]
+    #[should_panic(expected = "not quiescent")]
+    fn overloaded_datacenter_wedge_fails_at_the_horizon() {
+        run_datacenter(&DatacenterConfig { jobs: 4000, ..DatacenterConfig::at_scale(1000, 42) });
     }
 }

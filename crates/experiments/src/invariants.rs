@@ -18,7 +18,9 @@
 //!    timestamps never decrease ([`check_monotone_clock`]);
 //! 5. **Replay identity** — a rerun from the same seed reproduces the
 //!    serialized trace byte-for-byte ([`check_replay_identity`];
-//!    [`first_divergence`] locates the first differing line for triage).
+//!    [`first_divergence`] locates the first differing line for triage);
+//! 6. **No resurrection** — a job the server stamped completed is still
+//!    terminal in every `qstat` ([`check_no_resurrection`]).
 //!
 //! Every check returns a `Vec<String>` of human-readable violations —
 //! empty means the invariant held — so callers can aggregate freely.
@@ -75,6 +77,23 @@ pub fn check_no_leaks(db: &NodeDb) -> Vec<String> {
         }
     }
     v
+}
+
+/// No-resurrection invariant: a job with a completion time (it exited,
+/// timed out or was cancelled) must be in a terminal state. A live state
+/// over a completion time means something wrote the job back to life
+/// (ROADMAP item 1). A requeued job carries no completion time, so it is
+/// not flagged.
+pub fn check_no_resurrection(statuses: &[JobStatus]) -> Vec<String> {
+    statuses
+        .iter()
+        .filter_map(|s| match s.completed {
+            Some(at) if !s.state.is_terminal() => {
+                Some(format!("{} resurrected: {:?} after completing at {at}", s.id, s.state))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// Monotone-clock invariant: virtual timestamps in the event stream
@@ -173,6 +192,41 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(v[0].contains("panic"));
         assert!(v[1].contains("event cap"));
+    }
+
+    fn status(id: u64, state: JobState, completed: Option<u64>) -> JobStatus {
+        JobStatus {
+            id: JobId(id),
+            name: format!("j{id}"),
+            owner: "sim".into(),
+            state,
+            submitted: SimTime::ZERO,
+            started: None,
+            completed: completed.map(|s| SimTime::ZERO + SimDuration::from_secs(s)),
+            compute_hosts: Vec::new(),
+            static_accs: Vec::new(),
+            dyn_sets: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn resurrected_job_is_flagged_and_requeued_job_is_not() {
+        let ok = [
+            status(1, JobState::Complete, Some(10)),
+            status(2, JobState::TimedOut, Some(20)),
+            status(3, JobState::Running, None),
+            // Requeued after losing a node: live again, but never completed.
+            status(4, JobState::Queued, None),
+        ];
+        assert!(check_no_resurrection(&ok).is_empty());
+        let v = check_no_resurrection(&[
+            status(5, JobState::Running, Some(30)),
+            status(6, JobState::DynQueued, Some(40)),
+            status(7, JobState::Cancelled, Some(50)),
+        ]);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with("job5 resurrected: Running"), "{v:?}");
+        assert!(v[1].starts_with("job6 resurrected: DynQueued"), "{v:?}");
     }
 
     #[test]

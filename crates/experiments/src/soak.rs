@@ -396,14 +396,16 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
     }
 
     // The auditor: a head-node client polling qstat until every job is
-    // terminal (or the horizon closes in), then sampling pool accounting
-    // under load.
+    // terminal (or the horizon closes in), checking every qstat for
+    // resurrected jobs and sampling pool accounting under load.
     #[derive(Default)]
     struct Audit {
         all_terminal: bool,
         completed: usize,
         cancelled: usize,
         mid_run_violations: Vec<String>,
+        /// Violations of the first `qstat` showing a resurrected job.
+        resurrected: Vec<String>,
     }
     let audit = Arc::new(Mutex::new(Audit::default()));
     let out = audit.clone();
@@ -422,8 +424,11 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
             }
             let now = c.proc.now();
             if let Ok(statuses) = ifl::try_qstat(&c.proc, &c.net, c.head, c.server).await {
+                let mut a = out.lock();
+                if a.resurrected.is_empty() {
+                    a.resurrected = invariants::check_no_resurrection(&statuses);
+                }
                 if statuses.len() == n_jobs && statuses.iter().all(|s| s.state.is_terminal()) {
-                    let mut a = out.lock();
                     a.all_terminal = true;
                     a.completed = statuses.iter().filter(|s| s.state == JobState::Complete).count();
                     a.cancelled = statuses.len() - a.completed;
@@ -446,6 +451,7 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
         violations.push("jobs still not terminal near the horizon".to_string());
     }
     violations.extend(a.mid_run_violations.iter().cloned());
+    violations.extend(a.resurrected.iter().cloned());
     {
         let db = cluster.node_db.lock();
         violations.extend(invariants::check_pool(&db, "final"));

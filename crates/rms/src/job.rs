@@ -42,8 +42,6 @@ pub enum JobState {
     Running,
     /// Running, with a pending dynamic request (special queue state).
     DynQueued,
-    /// Script finished; resources being released.
-    Exiting,
     /// Finished and resources released.
     Complete,
     /// Cancelled before or during execution.

@@ -130,8 +130,6 @@ impl JobCtx {
 
 struct DynJoinState {
     token: u64,
-    client_id: ClientId,
-    cn: HostId,
     accs: Vec<HostId>,
     pending: BTreeSet<HostId>,
 }
@@ -528,8 +526,6 @@ impl PbsMom {
         }
         rec.dynjoin = Some(DynJoinState {
             token: cmd.token,
-            client_id: cmd.client_id,
-            cn: cmd.cn,
             accs: cmd.accs.clone(),
             pending: cmd.accs.iter().copied().collect(),
         });
@@ -590,7 +586,6 @@ impl PbsMom {
         if state.pending.is_empty() {
             let state = rec.dynjoin.take().expect("checked");
             rec.dyn_hosts.extend(state.accs.iter().copied());
-            let _ = (state.client_id, state.cn);
             self.completed_dynjoins.insert(state.token);
             let ready = DynReady { job: msg.job, token: state.token };
             self.send_to(ctx, server_addr(self.head), ready);

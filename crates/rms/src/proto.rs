@@ -465,10 +465,6 @@ pub struct DynJoinCmd {
     pub job: JobId,
     /// Server token of the dynamic request (echoed in [`DynReady`]).
     pub token: u64,
-    /// The set handle.
-    pub client_id: ClientId,
-    /// The requesting compute node.
-    pub cn: HostId,
     /// The new accelerator hosts.
     pub accs: Vec<HostId>,
 }
