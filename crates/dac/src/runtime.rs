@@ -165,11 +165,31 @@ impl DacRuntime {
             fabric: Arc::new(Mutex::new(Default::default())),
             devices: Arc::new(Mutex::new(Default::default())),
         };
-        let rt2 = rt.clone();
+        // The registry lives in the MPI state, so the entry must not hold
+        // the MPI runtime: that cycle would keep every cluster's MPI,
+        // network and device state alive after the cluster is dropped.
+        // Each spawn rebuilds the handle from its own process instead.
+        let parts = (
+            rt.fs.clone(),
+            rt.cost.clone(),
+            rt.kernels.clone(),
+            rt.device_props,
+            rt.fabric.clone(),
+            rt.devices.clone(),
+        );
         rt.mpi.register_exe(DAEMON_EXE, move |mpi_proc, args| {
-            daemon_main(mpi_proc, rt2.clone(), args)
+            let (fs, cost, kernels, device_props, fabric, devices) = parts.clone();
+            let mpi = mpi_proc.runtime().clone();
+            let dac = DacRuntime { mpi, fs, cost, kernels, device_props, fabric, devices };
+            daemon_main(mpi_proc, dac, args)
         });
         rt
+    }
+
+    /// A weak reference to the device pool, for leak checks: it is dead
+    /// once the runtime and every daemon are dropped.
+    pub fn devices_weak(&self) -> std::sync::Weak<impl Sized> {
+        Arc::downgrade(&self.devices)
     }
 
     /// The MPI runtime used by daemons and front-ends.

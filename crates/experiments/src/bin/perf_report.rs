@@ -30,6 +30,9 @@
 //!    (and 10k in full mode): events/sec and peak RSS (`VmHWM`) per
 //!    scale, plus the 10k-vs-1k per-event wall ratio that proves no
 //!    O(hosts) work is left on a per-event path.
+//! 8. **volume** — the same scenario at 1k hosts, seed 42, with 500,
+//!    1000, 2000 and 3000 jobs: event count and ns/event per volume,
+//!    so per-event cost that grows with job volume shows up.
 //!
 //! `--swf-jobs` / `--fig8-load` override the historical 120-job and
 //! load-16 defaults — they are defaults, not ceilings. `--smoke`
@@ -39,8 +42,10 @@
 //! `--check BASELINE` compares the measured ping-pong throughput and
 //! datacenter@1k events/sec against a committed `BENCH_sim.json` and
 //! exits non-zero on a regression of more than 20% in either, and
-//! fails on **any** soak invariant violation — this is what
-//! `make bench-check` (part of `make verify`) runs.
+//! fails on **any** soak invariant violation, or when a job-volume
+//! cell's event count differs at all from the baseline (events are
+//! deterministic; the volume cells' ns/event is reported, not gated) —
+//! this is what `make bench-check` (part of `make verify`) runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -49,6 +54,10 @@ use darms_experiments::{
     datacenter, figures, hostmem, replay, runner, soak, DatacenterConfig, ReplayConfig,
 };
 use darms_sim::{Engine, QuantileEstimator, SimConfig, SimDuration};
+
+/// Job volumes of the `volume` row (1k hosts, seed 42). 4000 jobs does
+/// not quiesce yet (ROADMAP item 1).
+const VOLUMES: [usize; 4] = [500, 1_000, 2_000, 3_000];
 
 /// Ping-pong events/sec measured immediately before this PR's kernel
 /// optimizations (best of 4 runs of the identical probe on the same
@@ -369,6 +378,23 @@ fn main() {
         Some((o, wall, rss10, eps, per_event_ratio))
     };
 
+    // 9. Job volume at 1k hosts: identical in smoke and full mode. The
+    // event counts are exact; ns/event is one wall sample per cell.
+    let volume: Vec<(usize, u64, f64)> = VOLUMES
+        .iter()
+        .map(|&jobs| {
+            let cfg = DatacenterConfig { jobs, ..DatacenterConfig::at_scale(1_000, 42) };
+            let t0 = Instant::now();
+            let o = datacenter::run_datacenter(&cfg);
+            let ns_per_event = t0.elapsed().as_secs_f64() * 1e9 / o.stats.events as f64;
+            println!(
+                "  volume (1k hosts, {jobs} jobs): {} events, {ns_per_event:.0} ns/event",
+                o.stats.events
+            );
+            (jobs, o.stats.events, ns_per_event)
+        })
+        .collect();
+
     let mut json = String::with_capacity(1024);
     let _ = writeln!(
         json,
@@ -453,9 +479,16 @@ fn main() {
             rss(*rss10)
         );
     }
-    dc_row.push_str("}\n}");
+    dc_row.push_str("},\n");
     json.push_str(&dc_row);
-    json.push('\n');
+    let volume_cells = volume
+        .iter()
+        .map(|(jobs, events, ns)| {
+            format!("\"events_{jobs}\": {events}, \"ns_per_event_{jobs}\": {ns:.0}")
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+    let _ = writeln!(json, "  \"volume\": {{\"hosts\": 1000, \"seed\": 42, {volume_cells}}}\n}}");
 
     std::fs::write(&out_path, &json).expect("write bench report");
     println!("wrote {out_path}");
@@ -501,8 +534,21 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        // Job-volume event counts are deterministic: any difference is
+        // a behaviour change, not noise.
+        for (jobs, events, _) in &volume {
+            let base = baseline_field(&baseline, "volume", &format!("events_{jobs}"));
+            if *events as f64 != base {
+                eprintln!(
+                    "bench-check FAILED: volume@{jobs} jobs ran {events} events, the committed \
+                     baseline {base} ({baseline})"
+                );
+                std::process::exit(1);
+            }
+        }
         println!(
-            "bench-check ok: pingpong {pp_eps:.0} events/sec >= 80% of baseline {base_eps:.0}, \
+            "bench-check ok: volume event counts match the baseline, \
+             pingpong {pp_eps:.0} events/sec >= 80% of baseline {base_eps:.0}, \
              datacenter@1k {dc1_eps:.0} >= 80% of {base_dc:.0}, soak matrix clean, \
              fabric dispatch p99 within 20% of baseline for every class"
         );

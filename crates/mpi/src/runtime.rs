@@ -78,6 +78,13 @@ impl MpiRuntime {
         &self.cost
     }
 
+    /// A weak reference to the shared runtime state (communicators,
+    /// ports, executables), for leak checks: it is dead once every
+    /// handle and process of this runtime is dropped.
+    pub fn state_weak(&self) -> std::sync::Weak<impl Sized> {
+        Arc::downgrade(&self.state)
+    }
+
     /// Register an executable for [`comm_spawn`](crate::MpiProc::comm_spawn)
     /// and [`launch_world`](crate::launch_world). The body is an async
     /// closure: `|mpi, args| async move { … }`.

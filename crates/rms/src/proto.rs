@@ -2,6 +2,8 @@
 //! scheduler, and server ⇄ mom traffic, including the paper's extensions
 //! (`pbs_dynget`/`pbs_dynfree`, `DYNJOIN_JOB`, `DISJOIN_JOB`).
 
+use std::collections::BTreeMap;
+
 use darms_net::{Address, HostId};
 use darms_sim::{SimDuration, SimTime};
 
@@ -248,10 +250,11 @@ pub struct ClusterQueryReq {
     /// Where to deliver the snapshot.
     pub reply: Address,
     /// Token of the last response this client applied, if it holds a
-    /// node-state cache. When it matches the last response the server
-    /// actually served, the server may answer with a node *delta*
-    /// (changed nodes only) instead of the full list; any mismatch
-    /// (lost response, restarted client) falls back to a full snapshot.
+    /// node and running-job cache. When it matches the last response the
+    /// server actually served, the server may answer with a *delta*
+    /// (changed nodes and running jobs only) instead of the full lists;
+    /// any mismatch (lost response, restarted client) falls back to a
+    /// full snapshot.
     pub cached_token: Option<u64>,
     /// Hosts the client wants restated verbatim in a delta response
     /// even if the server did not change them — the scheduler lists
@@ -298,7 +301,7 @@ pub struct QueuedJobSnap {
 }
 
 /// One running job as seen by the scheduler (fairshare and backfill).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunningJobSnap {
     /// Job id.
     pub job: JobId,
@@ -345,7 +348,7 @@ pub struct ClusterSnapshot {
     pub nodes: Vec<NodeSnap>,
     /// Jobs waiting for initial allocation, submission order.
     pub queued: Vec<QueuedJobSnap>,
-    /// Running jobs.
+    /// Running jobs, in job-id order.
     pub running: Vec<RunningJobSnap>,
     /// The dynamic request awaiting scheduling, if any.
     pub dyn_pending: Option<DynPendingSnap>,
@@ -365,11 +368,32 @@ pub struct ClusterQueryResp {
     pub token: u64,
     /// The snapshot.
     pub snapshot: ClusterSnapshot,
-    /// When `true`, `snapshot.nodes` holds only the nodes that changed
-    /// since the response named by the request's `cached_token` (plus
-    /// any requested refreshes) — the client patches its cache instead
-    /// of rebuilding. `queued`/`running`/`dyn_pending` are always full.
-    pub nodes_delta: bool,
+    /// When `true`, the response is a delta against the one named by the
+    /// request's `cached_token`: `snapshot.nodes` holds only the nodes
+    /// that changed since then (plus any requested refreshes),
+    /// `snapshot.running` only the running jobs whose entry changed, and
+    /// `running_gone` the jobs that stopped running. The client patches
+    /// its caches instead of rebuilding. `queued` and `dyn_pending` are
+    /// always full.
+    pub delta: bool,
+    /// Jobs that left the running list since the cached response (always
+    /// empty in a full response).
+    pub running_gone: Vec<JobId>,
+}
+
+impl ClusterQueryResp {
+    /// Bring a client's running-job map up to date: a full response
+    /// replaces it, a delta patches it. Drains `snapshot.running` and
+    /// `running_gone`.
+    pub fn apply_running(&mut self, running: &mut BTreeMap<JobId, RunningJobSnap>) {
+        if !self.delta {
+            running.clear();
+        }
+        for job in self.running_gone.drain(..) {
+            running.remove(&job);
+        }
+        running.extend(self.snapshot.running.drain(..).map(|r| (r.job, r)));
+    }
 }
 
 /// Scheduler -> server: start a queued job on these resources.

@@ -57,6 +57,71 @@ impl JobRecord {
     }
 }
 
+/// Jobs currently `Running` or `DynQueued`, and the ones whose scheduler
+/// entry ([`RunningJobSnap`]) changed since the last cluster query was
+/// served. `jobs` accumulates every job ever submitted (qstat reports
+/// history), so the hot paths that only care about live jobs — scheduler
+/// snapshots, host reclamation, the retransmit tick — iterate `live`
+/// instead of scanning the full map. Every write that changes a running
+/// job's entry goes through [`ActiveJobs::insert`], [`ActiveJobs::remove`]
+/// or [`ActiveJobs::touch`], so a delta response can ship only `changed`.
+#[derive(Default)]
+struct ActiveJobs {
+    live: BTreeSet<JobId>,
+    changed: BTreeSet<JobId>,
+}
+
+impl ActiveJobs {
+    /// `job` starts running (first start, or restart after a requeue).
+    fn insert(&mut self, job: JobId) {
+        self.live.insert(job);
+        self.changed.insert(job);
+    }
+
+    /// `job` stops running: it ended, was cancelled or was requeued.
+    fn remove(&mut self, job: JobId) {
+        if self.live.remove(&job) {
+            self.changed.insert(job);
+        }
+    }
+
+    /// The entry of a running `job` changed: its start time was reported
+    /// or it gained or lost a dynamic set.
+    fn touch(&mut self, job: JobId) {
+        if self.live.contains(&job) {
+            self.changed.insert(job);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &JobId> {
+        self.live.iter()
+    }
+
+    /// Drain `changed`, split into jobs still running and jobs gone.
+    fn take_changed(&mut self) -> (Vec<JobId>, Vec<JobId>) {
+        std::mem::take(&mut self.changed).into_iter().partition(|id| self.live.contains(id))
+    }
+}
+
+/// The scheduler's view of one running job.
+fn running_snap(j: &JobRecord) -> RunningJobSnap {
+    RunningJobSnap {
+        job: j.id,
+        owner: j.spec.owner.clone(),
+        started: j.started.unwrap_or(j.submitted),
+        walltime_estimate: j.spec.walltime_estimate,
+        compute_hosts: j.compute.clone(),
+        ppn: j.spec.ppn,
+        acc_hosts: j
+            .accs
+            .iter()
+            .flatten()
+            .chain(j.dyn_sets.iter().flat_map(|s| s.accs.iter()))
+            .copied()
+            .collect(),
+    }
+}
+
 /// The `DisjoinCmd` that releases `set` of `job`.
 fn disjoin_cmd(job: JobId, set: &DynSet) -> DisjoinCmd {
     let (accs, slices) = (set.accs.clone(), set.slices.clone());
@@ -218,12 +283,7 @@ pub struct PbsServer {
     host: HostId,
     cost: RmsCostModel,
     jobs: BTreeMap<JobId, JobRecord>,
-    /// Jobs currently `Running` or `DynQueued`. `jobs` accumulates every
-    /// job ever submitted (qstat reports history), so the hot paths that
-    /// only care about live jobs — scheduler snapshots, host
-    /// reclamation, the retransmit tick — iterate this index instead of
-    /// scanning the full map.
-    active: BTreeSet<JobId>,
+    active: ActiveJobs,
     /// Submission order of queued jobs. Entries are removed lazily: a
     /// started or cancelled job's entry goes stale (its state filters it
     /// out everywhere) and `queue_dead` triggers a periodic compaction,
@@ -247,9 +307,9 @@ pub struct PbsServer {
     pending_frees: BTreeMap<ClientId, (JobId, DynSet)>,
     /// Token of the last `ClusterQueryResp` served. A query whose
     /// `cached_token` matches proves the client applied that exact
-    /// response, so the node list can be answered as a delta of the
-    /// database's dirty set; any mismatch (lost response, fresh client)
-    /// falls back to a full snapshot.
+    /// response, so the node and running lists can be answered as deltas
+    /// of the database's dirty set and `active.changed`; any mismatch
+    /// (lost response, fresh client) falls back to a full snapshot.
     snap_last_token: Option<u64>,
 }
 
@@ -262,7 +322,7 @@ impl PbsServer {
             host,
             cost,
             jobs: BTreeMap::new(),
-            active: BTreeSet::new(),
+            active: ActiveJobs::default(),
             queue_order: Vec::new(),
             queue_dead: 0,
             db: Arc::new(Mutex::new(db)),
@@ -420,11 +480,11 @@ impl PbsServer {
 
     /// Build the response to one cluster query. When the client proves
     /// (via `cached_token`) that it applied the previous response, the
-    /// node list is a delta: only nodes the database dirtied since that
-    /// response, plus any the client asked to have restated. Queued,
-    /// running and dyn-pending lists are always full — they are sized
-    /// by activity, not cluster size.
-    fn snapshot_for(&mut self, req: &ClusterQueryReq) -> (ClusterSnapshot, bool) {
+    /// node and running lists are deltas: only nodes the database dirtied
+    /// and running jobs `active` marked changed since that response, plus
+    /// any nodes the client asked to have restated. The queued and
+    /// dyn-pending lists are always full.
+    fn snapshot_for(&mut self, req: &ClusterQueryReq) -> ClusterQueryResp {
         let snap_of = |n: &crate::nodes::NodeRecord| NodeSnap {
             host: n.host,
             role: n.role,
@@ -433,23 +493,28 @@ impl PbsServer {
             cores_free: n.cores_free,
             offline: n.offline,
         };
-        let delta_ok = req.cached_token.is_some() && req.cached_token == self.snap_last_token;
+        // A copy of the request just served (the network may duplicate
+        // it) gets a full response that drains nothing: the client may
+        // apply either copy, so the changes since the first one must
+        // still reach its next delta.
+        let copy = self.snap_last_token == Some(req.token);
+        let delta = !copy && req.cached_token.is_some() && req.cached_token == self.snap_last_token;
         self.snap_last_token = Some(req.token);
-        let (nodes, nodes_delta) = {
+        let nodes = {
             let mut db = self.db.lock();
-            // Drain in either mode: after this response the client is
-            // current, so only later changes matter.
-            let mut changed = db.take_dirty();
-            if delta_ok {
+            // Unless this is a copy, drain in either mode: after this
+            // response the client is current, so only later changes matter.
+            let mut changed = if copy { BTreeSet::new() } else { db.take_dirty() };
+            if delta {
                 for h in &req.refresh {
                     if let Some(i) = db.index_of(*h) {
                         changed.insert(i);
                     }
                 }
                 let all = db.nodes();
-                (changed.iter().map(|&i| snap_of(&all[i])).collect::<Vec<_>>(), true)
+                changed.iter().map(|&i| snap_of(&all[i])).collect()
             } else {
-                (db.nodes().iter().map(snap_of).collect(), false)
+                db.nodes().iter().map(snap_of).collect()
             }
         };
         let queued = self
@@ -467,26 +532,10 @@ impl PbsServer {
                 walltime_estimate: j.spec.walltime_estimate,
             })
             .collect();
-        let running = self
-            .active
-            .iter()
-            .filter_map(|id| self.jobs.get(id))
-            .map(|j| RunningJobSnap {
-                job: j.id,
-                owner: j.spec.owner.clone(),
-                started: j.started.unwrap_or(j.submitted),
-                walltime_estimate: j.spec.walltime_estimate,
-                compute_hosts: j.compute.clone(),
-                ppn: j.spec.ppn,
-                acc_hosts: j
-                    .accs
-                    .iter()
-                    .flatten()
-                    .chain(j.dyn_sets.iter().flat_map(|s| s.accs.iter()))
-                    .copied()
-                    .collect(),
-            })
-            .collect();
+        let changed = if copy { Default::default() } else { self.active.take_changed() };
+        let (ids, running_gone) =
+            if delta { changed } else { (self.active.iter().copied().collect(), Vec::new()) };
+        let running = ids.iter().filter_map(|id| self.jobs.get(id)).map(running_snap).collect();
         let dyn_pending = self.dyns.active.as_ref().and_then(|a| {
             a.phase.exposed_at().map(|queued_at| DynPendingSnap {
                 token: a.req.token,
@@ -498,7 +547,8 @@ impl PbsServer {
                 queued_at,
             })
         });
-        (ClusterSnapshot { nodes, queued, running, dyn_pending }, nodes_delta)
+        let snapshot = ClusterSnapshot { nodes, queued, running, dyn_pending };
+        ClusterQueryResp { token: req.token, snapshot, delta, running_gone }
     }
 
     fn handle_run_job(&mut self, ctx: &mut Ctx<'_>, cmd: RunJobCmd) {
@@ -709,6 +759,7 @@ impl PbsServer {
                             DynResource::AcceleratorSlices { class: _ } => 0,
                         },
                     });
+                    self.active.touch(p.job);
                 }
                 let metrics = ctx.metrics();
                 metrics.counter_inc("rms.dynjoin");
@@ -791,6 +842,7 @@ impl PbsServer {
         }
         if let Some(rec) = self.jobs.get_mut(&msg.job) {
             rec.dyn_sets.retain(|s| s.client_id != msg.set.client_id);
+            self.active.touch(msg.job);
         }
         {
             let mut db = self.db.lock();
@@ -827,7 +879,7 @@ impl PbsServer {
         }
         rec.state = if msg.timed_out { JobState::TimedOut } else { JobState::Complete };
         rec.completed = Some(ctx.now());
-        self.active.remove(&msg.job);
+        self.active.remove(msg.job);
         if hardened {
             rec.dyn_sets.clear();
         }
@@ -909,7 +961,7 @@ impl PbsServer {
                 rec.state = JobState::Cancelled;
                 rec.completed = Some(ctx.now());
             }
-            self.active.remove(&job);
+            self.active.remove(job);
             self.db.lock().release_job(job);
             self.fs.remove_job(job);
             if requeue {
@@ -1009,7 +1061,7 @@ impl PbsServer {
             Some(rec) if matches!(rec.state, JobState::Running | JobState::DynQueued) => {
                 rec.state = JobState::Cancelled;
                 rec.completed = Some(ctx.now());
-                self.active.remove(&req.job);
+                self.active.remove(req.job);
                 was_active = true;
                 if hardened {
                     rec.dyn_sets.clear();
@@ -1075,8 +1127,7 @@ impl Actor for PbsServer {
         };
         let env = match env.downcast::<ClusterQueryReq>() {
             Ok(m) => {
-                let (snapshot, nodes_delta) = self.snapshot_for(&m);
-                let resp = ClusterQueryResp { token: m.token, snapshot, nodes_delta };
+                let resp = self.snapshot_for(&m);
                 return self.reply(ctx, m.reply, resp);
             }
             Err(e) => e,
@@ -1110,6 +1161,7 @@ impl Actor for PbsServer {
                     {
                         let now = ctx.now();
                         rec.started = Some(now);
+                        self.active.touch(m.job);
                         let latency = now.since(rec.submitted);
                         ctx.metrics().observe_duration("rms.qsub_to_run", latency);
                     }
@@ -1246,7 +1298,64 @@ mod tests {
         assert!(dyns.lookup(Expose, 8).is_some());
     }
 
-    /// A server on head + one compute node + three accelerators, with no
+    fn query(token: u64, cached_token: Option<u64>) -> ClusterQueryReq {
+        let reply = server_addr(HostId::from_raw(0));
+        ClusterQueryReq { token, reply, cached_token, refresh: Vec::new() }
+    }
+
+    #[test]
+    fn a_copy_of_the_last_query_gets_a_full_response_and_drains_nothing() {
+        let net = Network::new(LatencyModel::ideal(), 1);
+        let head = net.add_host("head", HostKind::Head);
+        let cn = net.add_host("cn", HostKind::Compute);
+        let mut db = NodeDb::new();
+        db.add_compute(cn, 8);
+        let cost = RmsCostModel::paper_testbed();
+        let mut server = PbsServer::new(net, PseudoFs::new(), head, cost, db);
+        let job = JobId(1);
+        let spec = JobSpec::synthetic("j", SimDuration::from_secs(60));
+        server.jobs.insert(
+            job,
+            JobRecord {
+                id: job,
+                spec,
+                state: JobState::Running,
+                submitted: SimTime::ZERO,
+                started: None,
+                completed: None,
+                compute: vec![cn],
+                accs: Vec::new(),
+                dyn_sets: Vec::new(),
+                incarnation: 1,
+                requeues: 0,
+            },
+        );
+        server.active.insert(job);
+        assert!(!server.snapshot_for(&query(1, None)).delta);
+        let first = server.snapshot_for(&query(2, Some(1)));
+        assert!(
+            first.delta && first.snapshot.nodes.is_empty() && first.snapshot.running.is_empty()
+        );
+        // Changes between the two serves of request 2.
+        server.db.lock().allocate_compute(cn, job, 1);
+        if let Some(j) = server.jobs.get_mut(&job) {
+            j.started = Some(at(5));
+        }
+        server.active.touch(job);
+        let copy = server.snapshot_for(&query(2, Some(1)));
+        assert!(!copy.delta, "a copy is answered in full");
+        assert_eq!(copy.snapshot.running[0].started, at(5));
+        // The client applied the delta copy and dropped the full one: its
+        // next delta must still carry both changes.
+        let next = server.snapshot_for(&query(3, Some(2)));
+        assert!(next.delta);
+        let free: Vec<u32> = next.snapshot.nodes.iter().map(|n| n.cores_free).collect();
+        assert_eq!(free, vec![7]);
+        let started: Vec<SimTime> = next.snapshot.running.iter().map(|r| r.started).collect();
+        assert_eq!(started, vec![at(5)]);
+    }
+
+    /// A server on head + two compute nodes + three accelerators, with no
     /// retry policy; the test's driver process stands in for the client,
     /// the scheduler and the mother superior.
     struct Rig {
@@ -1261,6 +1370,7 @@ mod tests {
         net: Network,
         head: HostId,
         cn: HostId,
+        cn2: HostId,
         accs: [HostId; 3],
     }
 
@@ -1273,17 +1383,59 @@ mod tests {
             p.recv_where(|e| e.is::<T>()).await.downcast::<T>().ok()
         }
 
-        /// Submit a job and start it on the compute node.
-        async fn running_job(&self, p: &Proc) -> Option<JobId> {
+        /// Submit a job (IFL token `token`) and start it on the compute
+        /// node.
+        async fn running_job(&self, p: &Proc, token: u64) -> Option<JobId> {
+            self.running_job_on(p, token, self.cn).await
+        }
+
+        async fn running_job_on(&self, p: &Proc, token: u64, cn: HostId) -> Option<JobId> {
             let reply = self.net.bind_auto(self.head, p.endpoint());
             self.net.bind(crate::sched_addr(self.head), p.endpoint());
-            self.net.bind(mom_addr(self.cn), p.endpoint());
+            self.net.bind(mom_addr(cn), p.endpoint());
             let spec = JobSpec::synthetic("dyn", SimDuration::from_secs(60));
-            self.send(p, QsubReq { token: 1, spec, reply });
+            self.send(p, QsubReq { token, spec, reply });
             let job = self.recv::<QsubResp>(p).await?.job;
-            self.send(p, RunJobCmd { job, compute: vec![self.cn], accs: Vec::new() });
+            self.start(p, job, cn).await
+        }
+
+        /// Start a queued job on `cn`.
+        async fn start(&self, p: &Proc, job: JobId, cn: HostId) -> Option<JobId> {
+            self.send(p, RunJobCmd { job, compute: vec![cn], accs: Vec::new() });
             self.recv::<SendJob>(p).await?;
             Some(job)
+        }
+
+        /// One cluster query as the scheduler would send it.
+        async fn query(
+            &self,
+            p: &Proc,
+            token: u64,
+            cached: Option<u64>,
+        ) -> Option<ClusterQueryResp> {
+            let mut req = query(token, cached);
+            req.reply = crate::sched_addr(self.head);
+            self.net.bind(req.reply, p.endpoint());
+            self.send(p, req);
+            self.recv::<ClusterQueryResp>(p).await
+        }
+
+        /// Patch `mirror` with a delta against the last served response,
+        /// then fetch a full list, and record step `name`.
+        async fn delta_step(
+            &self,
+            p: &Proc,
+            mirror: &mut Mirror,
+            name: &'static str,
+        ) -> Option<()> {
+            let mut delta = self.query(p, mirror.token + 1, Some(mirror.token)).await?;
+            let shipped = (delta.snapshot.running.len(), delta.running_gone.len());
+            delta.apply_running(&mut mirror.running);
+            let full = self.query(p, mirror.token + 2, None).await?;
+            mirror.token += 2;
+            let same = mirror.running.values().eq(full.snapshot.running.iter());
+            mirror.steps.push((name, delta.delta, shipped, same));
+            Some(())
         }
 
         /// Issue a `pbs_dynget` for one accelerator.
@@ -1302,6 +1454,17 @@ mod tests {
         }
     }
 
+    /// A scheduler-side copy of the running list and the token of the
+    /// last response it applied.
+    struct Mirror {
+        running: BTreeMap<JobId, RunningJobSnap>,
+        token: u64,
+        /// Per step: its name, whether the response was a delta, the
+        /// (running, gone) entries it shipped, and whether the patched
+        /// mirror equals a full list built from the same state.
+        steps: Vec<(&'static str, bool, (usize, usize), bool)>,
+    }
+
     /// Longer than the expose timer (`dyn_request_handling`, 30 ms).
     const EXPOSED: SimDuration = SimDuration::from_millis(100);
 
@@ -1310,18 +1473,20 @@ mod tests {
         let head = net.add_host("head", HostKind::Head);
         let cn = net.add_host("cn", HostKind::Compute);
         let accs = [0, 1, 2].map(|i| net.add_host(format!("acc{i}"), HostKind::Accelerator));
+        let cn2 = net.add_host("cn2", HostKind::Compute);
         let mut db = NodeDb::new();
         db.add_compute(cn, 8);
         for a in accs {
             db.add_accelerator(a);
         }
+        db.add_compute(cn2, 8);
         let cost = RmsCostModel::paper_testbed();
         let server = PbsServer::new(net.clone(), PseudoFs::new(), head, cost, db);
         let db = server.db_handle();
         let mut engine = Engine::new(SimConfig::default());
         let id = engine.add_actor(Box::new(server));
         net.bind(server_addr(head), Endpoint::Actor(id));
-        let driver = Driver { net, head, cn, accs };
+        let driver = Driver { net, head, cn, cn2, accs };
         engine.spawn_process("driver", move |p| drive(p, driver));
         Rig { engine, db, accs }
     }
@@ -1332,7 +1497,7 @@ mod tests {
         let out = seen.clone();
         let mut rig = rig(move |p, d| {
             Box::pin(async move {
-                let Some(job) = d.running_job(&p).await else { return };
+                let Some(job) = d.running_job(&p, 1).await else { return };
                 d.dynget(&p, job, 2);
                 // The walltime kill lands while the request is `Serviced`.
                 d.send(&p, JobExit { job, from: d.cn, incarnation: 1, timed_out: true });
@@ -1353,7 +1518,7 @@ mod tests {
         let out = seen.clone();
         let mut rig = rig(move |p, d| {
             Box::pin(async move {
-                let Some(job) = d.running_job(&p).await else { return };
+                let Some(job) = d.running_job(&p, 1).await else { return };
                 let [a0, a1, a2] = d.accs;
                 // Request 1: granted a0, then re-granted a1 before it joins.
                 d.dynget(&p, job, 2);
@@ -1381,5 +1546,76 @@ mod tests {
         // Known wrong (ROADMAP item 1): the re-grant leaks a0 to the job
         // and the rejection leaves a2 allocated.
         assert!(held(a0) && held(a1) && held(a2));
+    }
+
+    #[test]
+    fn running_deltas_patch_a_mirror_to_the_full_list() {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let out = seen.clone();
+        let mut rig = rig(move |p, d| {
+            Box::pin(async move {
+                let mut m = Mirror { running: BTreeMap::new(), token: 1, steps: Vec::new() };
+                let steps = async {
+                    let m = &mut m;
+                    d.query(&p, 1, None).await?.apply_running(&mut m.running);
+                    let settle = SimDuration::from_millis(10);
+                    // Job B runs on cn2 throughout and is never re-shipped.
+                    let b = d.running_job_on(&p, 1, d.cn2).await?;
+                    d.delta_step(&p, m, "start b").await?;
+                    let a = d.running_job(&p, 2).await?;
+                    d.delta_step(&p, m, "start a").await?;
+                    d.send(&p, JobStarted { job: a, from: d.cn, incarnation: 1 });
+                    p.sleep(settle).await;
+                    d.delta_step(&p, m, "job started").await?;
+                    d.dynget(&p, a, 3);
+                    p.sleep(EXPOSED).await;
+                    d.send(&p, RunDynCmd { token: 1, accs: vec![d.accs[0]] });
+                    let join = d.recv::<DynJoinCmd>(&p).await?;
+                    d.send(&p, DynReady { job: a, token: join.token });
+                    let grant = d.recv::<DynGetResp>(&p).await?.result.ok()?;
+                    d.delta_step(&p, m, "dyn grant").await?;
+                    let (client_id, cn, accs) = (grant.client_id, d.cn, grant.accs);
+                    let set = DynSet { client_id, cn, accs, slices: Vec::new(), ppn: 0 };
+                    d.send(&p, FreeDone { job: a, set });
+                    p.sleep(settle).await;
+                    d.delta_step(&p, m, "free done").await?;
+                    d.send(&p, SetNodeOffline { host: d.cn, offline: true });
+                    p.sleep(settle).await;
+                    d.delta_step(&p, m, "requeue").await?;
+                    d.send(&p, SetNodeOffline { host: d.cn, offline: false });
+                    d.start(&p, a, d.cn).await?;
+                    d.delta_step(&p, m, "restart").await?;
+                    d.send(&p, JobExit { job: a, from: d.cn, incarnation: 2, timed_out: false });
+                    p.sleep(settle).await;
+                    d.delta_step(&p, m, "exit").await?;
+                    let reply = d.net.bind_auto(d.head, p.endpoint());
+                    d.send(&p, QdelReq { token: 4, job: b, reply });
+                    d.recv::<QdelResp>(&p).await?;
+                    d.delta_step(&p, m, "qdel").await
+                };
+                let _ = steps.await;
+                *out.borrow_mut() = m.steps;
+            })
+        });
+        assert_eq!(rig.engine.run().process_panics, 0);
+        let want = [
+            ("start b", (1, 0)),
+            ("start a", (1, 0)),
+            ("job started", (1, 0)),
+            ("dyn grant", (1, 0)),
+            ("free done", (1, 0)),
+            ("requeue", (0, 1)),
+            ("restart", (1, 0)),
+            ("exit", (0, 1)),
+            ("qdel", (0, 1)),
+        ];
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), want.len(), "every step ran: {seen:?}");
+        for ((name, delta, shipped, same), (want_name, want)) in seen.iter().zip(want) {
+            assert_eq!(*name, want_name);
+            assert!(*delta, "{name}: answered as a delta");
+            assert_eq!(*shipped, want, "{name}: (running, gone) shipped");
+            assert!(*same, "{name}: mirror equals the full running list");
+        }
     }
 }

@@ -280,28 +280,44 @@ impl FreeTracker {
         Some(taken)
     }
 
-    /// Number of fully free accelerator hosts of one device class.
-    pub fn free_acc_count_class(&self, class: DeviceClass) -> usize {
-        self.accs.iter().filter(|h| self.class_of(**h) == class).count()
-    }
-
     fn class_of(&self, h: HostId) -> DeviceClass {
         self.acc_state.get(&h).map_or_else(DeviceClass::default, |s| s.class)
     }
 
-    /// Class-constrained [`Self::take_accelerators`]: pick `n` fully free
-    /// accelerator hosts of `class` in FIFO grant order. In an all-GpuLike
-    /// cluster the filter is a no-op and the picks are identical to the
-    /// unconstrained path.
-    pub fn take_accelerators_class(&mut self, n: usize, class: DeviceClass) -> Option<Vec<HostId>> {
-        let taken: Vec<HostId> =
-            self.accs.iter().copied().filter(|h| self.class_of(*h) == class).take(n).collect();
-        if taken.len() < n {
+    /// Class-constrained, partial [`Self::take_accelerators`]: the first
+    /// `min(free, max)` fully free accelerator hosts of `class` in FIFO
+    /// grant order, or `None` (and nothing changes) if fewer than `min`,
+    /// or none at all, are free. The scan stops at the `max`-th match, so
+    /// a grant costs O(scanned prefix), not O(pool); hosts of other
+    /// classes in that prefix keep their order at the front of the pool.
+    /// In an all-GpuLike cluster the taken prefix is exactly the matches.
+    pub fn take_accelerators_upto(
+        &mut self,
+        max: usize,
+        min: usize,
+        class: DeviceClass,
+    ) -> Option<Vec<HostId>> {
+        let (mut matched, mut end) = (0, 0);
+        for h in &self.accs {
+            if matched == max {
+                break;
+            }
+            end += 1;
+            if self.class_of(*h) == class {
+                matched += 1;
+            }
+        }
+        if matched < min.max(1) {
             return None;
+        }
+        let prefix: Vec<HostId> = self.accs.drain(..end).collect();
+        let (taken, other): (Vec<HostId>, Vec<HostId>) =
+            prefix.into_iter().partition(|h| self.class_of(*h) == class);
+        for h in other.into_iter().rev() {
+            self.accs.push_front(h);
         }
         for h in &taken {
             self.acc_set.remove(h);
-            self.accs.retain(|x| x != h);
             if let Some(s) = self.acc_state.get_mut(h) {
                 s.free = 0;
             }
@@ -518,22 +534,21 @@ pub mod reference {
             self.acc_info.iter().find(|e| e.0 == h).map_or_else(DeviceClass::default, |e| e.1)
         }
 
-        /// See [`FreeTracker::free_acc_count_class`].
-        pub fn free_acc_count_class(&self, class: DeviceClass) -> usize {
-            self.accs.iter().filter(|h| self.class_of(**h) == class).count()
-        }
-
-        /// See [`FreeTracker::take_accelerators_class`].
-        pub fn take_accelerators_class(
+        /// See [`FreeTracker::take_accelerators_upto`]: counts every free
+        /// host of `class`, then takes the first `min(free, max)`.
+        pub fn take_accelerators_upto(
             &mut self,
-            n: usize,
+            max: usize,
+            min: usize,
             class: DeviceClass,
         ) -> Option<Vec<HostId>> {
-            let taken: Vec<HostId> =
-                self.accs.iter().copied().filter(|h| self.class_of(*h) == class).take(n).collect();
-            if taken.len() < n {
+            let free = self.accs.iter().filter(|h| self.class_of(**h) == class).count();
+            let n = free.min(max);
+            if n < min.max(1) {
                 return None;
             }
+            let taken: Vec<HostId> =
+                self.accs.iter().copied().filter(|h| self.class_of(*h) == class).take(n).collect();
             for h in &taken {
                 self.accs.retain(|x| x != h);
                 if let Some(e) = self.acc_info.iter_mut().find(|e| e.0 == *h) {
@@ -742,20 +757,43 @@ mod tests {
         });
         let mut t = FreeTracker::from_snapshot(&s);
         // GPU whole-device pool is untouched by DPU slicing.
-        assert_eq!(t.free_acc_count_class(DeviceClass::GpuLike), 2);
+        assert_eq!(t.clone().take_accelerators_upto(9, 1, DeviceClass::GpuLike).unwrap().len(), 2);
         assert_eq!(t.free_slice_count(DeviceClass::DpuRankLike, &[]), 2);
         // Partially used device (h7, 3 free) is preferred over the idle one.
         assert_eq!(t.take_slices(1, DeviceClass::DpuRankLike, &[]).unwrap(), vec![h(7)]);
         // Excluding the packed device forces the idle one, which then
         // leaves the whole-device pool.
         assert_eq!(t.take_slices(1, DeviceClass::DpuRankLike, &[h(7)]).unwrap(), vec![h(6)]);
-        assert!(t.take_accelerators_class(1, DeviceClass::DpuRankLike).is_none());
+        assert!(t.take_accelerators_upto(1, 1, DeviceClass::DpuRankLike).is_none());
         // One slice per device per request: only 2 devices exist, however
         // many slices remain free on each.
         assert!(t.take_slices(3, DeviceClass::DpuRankLike, &[]).is_none());
         t.give_back_slices(&[h(6)]);
         assert_eq!(t.free_slices_of(h(6)), 4);
-        assert_eq!(t.take_accelerators_class(1, DeviceClass::DpuRankLike).unwrap(), vec![h(6)]);
+        let got = t.take_accelerators_upto(1, 1, DeviceClass::DpuRankLike);
+        assert_eq!(got.unwrap(), vec![h(6)]);
+    }
+
+    #[test]
+    fn bounded_take_keeps_other_classes_in_fifo_order() {
+        let mk = |i, class| NodeSnap {
+            host: h(i),
+            role: NodeRole::Accelerator,
+            cores_total: 1,
+            cores_free: 1,
+            offline: false,
+            class,
+        };
+        let (g, d) = (DeviceClass::GpuLike, DeviceClass::DpuRankLike);
+        let nodes = vec![mk(0, g), mk(1, d), mk(2, g), mk(3, d), mk(4, g)];
+        let s = ClusterSnapshot { nodes, ..ClusterSnapshot::empty() };
+        let mut t = FreeTracker::from_snapshot(&s);
+        // Fewer than `min` free: nothing changes.
+        assert!(t.take_accelerators_upto(3, 3, d).is_none());
+        // The scan stops at h3; h0 and h2 go back in front, in order.
+        assert_eq!(t.take_accelerators_upto(2, 1, d).unwrap(), vec![h(1), h(3)]);
+        assert!(t.take_accelerators_upto(1, 1, d).is_none());
+        assert_eq!(t.take_accelerators(3).unwrap(), vec![h(0), h(2), h(4)]);
     }
 
     #[test]

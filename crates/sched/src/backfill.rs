@@ -11,10 +11,10 @@ use crate::alloc::FreeTracker;
 /// running job releases its resources at its walltime estimate. Returns
 /// `None` if the job would not fit even on an empty cluster (it can never
 /// start; no reservation is made).
-pub fn shadow_time(
+pub fn shadow_time<'a>(
     blocked: &QueuedJobSnap,
     tracker: &FreeTracker,
-    running: &[RunningJobSnap],
+    running: impl IntoIterator<Item = &'a RunningJobSnap>,
     now: SimTime,
 ) -> Option<SimTime> {
     if tracker.fits(blocked) {
@@ -22,7 +22,7 @@ pub fn shadow_time(
     }
     let mut future = tracker.clone();
     let mut ends: Vec<(&RunningJobSnap, SimTime)> =
-        running.iter().map(|r| (r, r.started + r.walltime_estimate)).collect();
+        running.into_iter().map(|r| (r, r.started + r.walltime_estimate)).collect();
     ends.sort_by_key(|(r, t)| (*t, r.job));
     for (r, end) in ends {
         future.give_back(&r.compute_hosts, r.ppn, &r.acc_hosts);

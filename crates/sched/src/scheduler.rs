@@ -8,11 +8,11 @@
 //! therefore serviced only after the iteration completes — exactly the
 //! waiting the paper measures in Fig. 8.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use darms_net::{HostId, Network};
 use darms_rms::proto::*;
-use darms_rms::{sched_addr, server_addr};
+use darms_rms::{sched_addr, server_addr, JobId};
 use darms_sim::{Actor, Ctx, Envelope, Recorder, SimDuration, SimTime, TraceSource};
 
 use crate::alloc::{split_accs, AllocPolicy, FreeTracker};
@@ -59,13 +59,13 @@ pub struct SchedConfig {
     /// because the checked-in golden traces pin that timer schedule
     /// byte-for-byte; large-scale scenarios opt in.
     pub poll_coalesce: bool,
-    /// Keep the free-resource tracker across iterations and ask the
-    /// server for node *deltas* instead of full snapshots. Turns the
-    /// per-iteration cost from O(hosts) into O(nodes that changed),
-    /// which is what keeps the per-event wall cost flat from 1k to 10k
-    /// hosts. Off by default for the same golden-trace reason as
-    /// `poll_coalesce` (the wire exchanges differ); large-scale
-    /// scenarios opt in. Loss-safe: a delta is only served when the
+    /// Keep the free-resource tracker and the running-job map across
+    /// iterations and ask the server for node and running-job *deltas*
+    /// instead of full snapshots. Turns the per-iteration cost from
+    /// O(hosts + running jobs) into O(what changed), which is what keeps
+    /// the per-event wall cost flat from 1k to 10k hosts. Off by default
+    /// for the same golden-trace reason as `poll_coalesce` (the wire
+    /// exchanges differ); large-scale scenarios opt in. Loss-safe: a delta is only served when the
     /// scheduler proves it applied the server's previous response, so
     /// a lost response degrades to a full snapshot.
     pub incremental_snapshots: bool,
@@ -151,7 +151,9 @@ pub struct MauiScheduler {
     query_token: u64,
     worklist: VecDeque<WorkItem>,
     tracker: Option<FreeTracker>,
-    running: Vec<RunningJobSnap>,
+    /// Running jobs as of the last snapshot, in job-id order; a full
+    /// response replaces the map, a delta patches it.
+    running: BTreeMap<JobId, RunningJobSnap>,
     /// Jobs started earlier in the *current* iteration; they are not in
     /// the snapshot's running list yet but must count for backfill shadow
     /// computation.
@@ -166,9 +168,10 @@ pub struct MauiScheduler {
     /// A `TOKEN_POLL` timer is in flight (only consulted when
     /// [`SchedConfig::poll_coalesce`] is on).
     poll_armed: bool,
-    /// Token of the last snapshot response applied to `tracker`. Sent as
-    /// `ClusterQueryReq::cached_token` so the server can prove the cache
-    /// is in sync before serving a delta. `None` forces a full snapshot.
+    /// Token of the last snapshot response applied to `tracker` and
+    /// `running`. Sent as `ClusterQueryReq::cached_token` so the server
+    /// can prove the caches are in sync before serving a delta. `None`
+    /// forces a full snapshot.
     cached_token: Option<u64>,
     /// Hosts this scheduler speculatively mutated (grants sent to the
     /// server) since the last snapshot. Listed in the next query's
@@ -201,7 +204,7 @@ impl MauiScheduler {
             query_token: 0,
             worklist: VecDeque::new(),
             tracker: None,
-            running: Vec::new(),
+            running: BTreeMap::new(),
             iter_started: Vec::new(),
             shadow: None,
             blocked_no_backfill: false,
@@ -269,14 +272,15 @@ impl MauiScheduler {
         }
     }
 
-    fn handle_snapshot(&mut self, ctx: &mut Ctx<'_>, resp: ClusterQueryResp) {
+    fn handle_snapshot(&mut self, ctx: &mut Ctx<'_>, mut resp: ClusterQueryResp) {
         if self.phase != Phase::AwaitSnapshot || resp.token != self.query_token {
             return; // stale snapshot
         }
-        let nodes_delta = resp.nodes_delta;
+        resp.apply_running(&mut self.running);
+        let delta = resp.delta;
         let mut snap = resp.snapshot;
         let now = ctx.now();
-        self.fairshare.update(now, &snap.running);
+        self.fairshare.update(now, self.running.values());
         let queued = std::mem::take(&mut snap.queued);
         let ordered = order_queue(queued, now, &self.config.policy, &self.fairshare);
         let mut worklist: VecDeque<WorkItem> = VecDeque::new();
@@ -291,7 +295,7 @@ impl MauiScheduler {
         } else {
             worklist.extend(ordered.into_iter().map(WorkItem::Job));
         }
-        if nodes_delta {
+        if delta {
             // The server only serves a delta when our `cached_token`
             // matched, so a retained tracker must exist; fall back to a
             // fresh full query if an unknown host appears (defensive —
@@ -313,8 +317,7 @@ impl MauiScheduler {
         self.cached_token = Some(resp.token);
         self.touched.clear();
         self.last_snapshot_active =
-            !snap.running.is_empty() || !worklist.is_empty() || snap.dyn_pending.is_some();
-        self.running = std::mem::take(&mut snap.running);
+            !self.running.is_empty() || !worklist.is_empty() || snap.dyn_pending.is_some();
         self.iter_started.clear();
         self.shadow = None;
         self.blocked_no_backfill = false;
@@ -367,7 +370,8 @@ impl MauiScheduler {
         let slice_exclude: Vec<HostId> = match &item {
             WorkItem::Dyn(d) if matches!(d.kind, DynResource::AcceleratorSlices { .. }) => self
                 .running
-                .iter()
+                .get(&d.job)
+                .into_iter()
                 .chain(self.iter_started.iter())
                 .filter(|r| r.job == d.job)
                 .flat_map(|r| r.compute_hosts.iter().chain(r.acc_hosts.iter()).copied())
@@ -408,13 +412,8 @@ impl MauiScheduler {
                 // semantics).
                 let granted = match d.kind {
                     DynResource::Accelerators { class } => {
-                        let free = tracker.free_acc_count_class(class);
-                        let give = free.min(d.count as usize);
-                        if give >= d.min_count.max(1) as usize {
-                            Some(tracker.take_accelerators_class(give, class).expect("counted"))
-                        } else {
-                            None
-                        }
+                        let (max, min) = (d.count as usize, d.min_count as usize);
+                        tracker.take_accelerators_upto(max, min, class)
                     }
                     DynResource::ComputeNodes { ppn } => {
                         tracker.take_compute(d.count as usize, ppn, self.config.allocation)
@@ -504,9 +503,8 @@ impl MauiScheduler {
                     self.send_server(ctx, RunJobCmd { job: j.job, compute, accs });
                 } else if self.shadow.is_none() {
                     if self.config.backfill {
-                        let mut running = self.running.clone();
-                        running.extend(self.iter_started.iter().cloned());
-                        self.shadow = shadow_time(&j, tracker, &running, now);
+                        let running = self.running.values().chain(&self.iter_started);
+                        self.shadow = shadow_time(&j, tracker, running, now);
                     } else {
                         self.blocked_no_backfill = true;
                     }

@@ -151,7 +151,9 @@ proptest! {
     /// Per-class pools and slice accounting: the indexed tracker and the
     /// linear reference must agree on every class-constrained grant,
     /// slice grant (with exclusion), revoke, and offline/revive patch —
-    /// the fabric extension of the invariant above.
+    /// the fabric extension of the invariant above. The pools mix
+    /// GpuLike and DpuRankLike hosts, so bounded takes skip hosts of the
+    /// other class and must put them back in FIFO order.
     #[test]
     fn class_and_slice_tracking_matches_linear_reference(
         accs in prop::collection::vec(0u8..=0x7f, 1..16),
@@ -168,9 +170,10 @@ proptest! {
             let class = if cls == 0 { DeviceClass::GpuLike } else { DeviceClass::DpuRankLike };
             match op {
                 0 => {
-                    let a = fast.take_accelerators_class(k, class);
-                    let b = slow.take_accelerators_class(k, class);
-                    prop_assert_eq!(&a, &b, "take_accelerators_class({}, {})", k, class);
+                    let min = sel % 4;
+                    let a = fast.take_accelerators_upto(k, min, class);
+                    let b = slow.take_accelerators_upto(k, min, class);
+                    prop_assert_eq!(&a, &b, "take_accelerators_upto({}, {}, {})", k, min, class);
                     if let Some(hosts) = a {
                         // Whole devices revoke slice-by-slice too (the
                         // server frees a job's holdings per host).
@@ -220,9 +223,10 @@ proptest! {
             // Full-state agreement after every op.
             prop_assert_eq!(fast.free_acc_count(), slow.free_acc_count());
             for class in [DeviceClass::GpuLike, DeviceClass::DpuRankLike] {
+                // Every free host of the class, in FIFO order.
                 prop_assert_eq!(
-                    fast.free_acc_count_class(class),
-                    slow.free_acc_count_class(class)
+                    fast.clone().take_accelerators_upto(usize::MAX, 1, class),
+                    slow.clone().take_accelerators_upto(usize::MAX, 1, class)
                 );
                 prop_assert_eq!(
                     fast.free_slice_count(class, &[]),

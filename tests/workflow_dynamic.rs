@@ -287,3 +287,31 @@ fn finalize_releases_all_daemons() {
     // All communicators torn down: the daemons disconnected and exited.
     assert_eq!(mpi.live_comms(), 0, "no leaked communicators after finalize");
 }
+
+#[test]
+fn dropping_a_cluster_frees_its_mpi_and_device_state() {
+    // A run that spawns daemons dynamically: the daemon executable is
+    // registered in the MPI state, so a handle it captured would keep
+    // that state (and the network and devices) alive forever.
+    let mut cluster = Cluster::build(ClusterConfig::fast(12).with_split(1, 3));
+    let dac = cluster.dac.clone();
+    let spec = JobSpec::synthetic("dyn", secs(1)).acpn(1).script(script(move |jc| {
+        let dac = dac.clone();
+        async move {
+            let (mut ses, _) = AcSession::init(&jc, &dac, None).await;
+            let set = ses.ac_get(2).await.expect("pool has 2 free accelerators");
+            let x = ses.mem_alloc(set.handles[0], 8).await.unwrap();
+            ses.mem_write(set.handles[0], x, f64s_to_bytes(&[1.0])).await.unwrap();
+            ses.ac_free(&set).await.unwrap();
+            ses.finalize();
+        }
+    }));
+    cluster.qsub(spec);
+    assert_eq!(cluster.run().process_panics, 0);
+    let mpi = cluster.mpi.state_weak();
+    let devices = cluster.dac.devices_weak();
+    assert!(mpi.upgrade().is_some() && devices.upgrade().is_some());
+    drop(cluster);
+    assert!(mpi.upgrade().is_none(), "MPI state outlived its cluster");
+    assert!(devices.upgrade().is_none(), "DAC devices outlived their cluster");
+}
