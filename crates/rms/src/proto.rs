@@ -452,22 +452,43 @@ pub struct SendJob {
     pub launch: JobLaunch,
 }
 
-/// Mother superior -> sister mom: `JOIN_JOB`.
+/// The three exchanges between the mother superior and its sister moms.
+/// Each fans a [`SisterReq`] out to a set of hosts and completes once
+/// every host has answered with a [`SisterAck`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SisterOp {
+    /// `JOIN_JOB`: a static sister joins at job start.
+    Join,
+    /// `DYNJOIN_JOB`: a dynamically allocated host joins the running job.
+    DynJoin,
+    /// `DISJOIN_JOB`: a released host leaves the job.
+    Disjoin,
+}
+
+/// Mother superior -> sister mom: one exchange request.
 #[derive(Clone)]
-pub struct JoinJob {
-    /// Launch information (sisters keep the full picture, as in TORQUE).
-    pub launch: JobLaunch,
+pub struct SisterReq {
+    /// The job.
+    pub job: JobId,
+    /// The exchange.
+    pub op: SisterOp,
+    /// Launch information for `Join` and `DynJoin` (sisters keep the full
+    /// picture, as in TORQUE); `None` for `Disjoin`.
+    pub launch: Option<JobLaunch>,
     /// Where to acknowledge.
     pub reply: Address,
 }
 
-/// Sister -> mother superior: join complete.
+/// Sister mom -> mother superior: request done (joined, or disassociated
+/// with local tasks killed and resources free).
 #[derive(Clone)]
-pub struct JoinAck {
-    /// The joined job.
+pub struct SisterAck {
+    /// The job.
     pub job: JobId,
     /// The acknowledging host.
     pub host: HostId,
+    /// Echo of [`SisterReq::op`].
+    pub op: SisterOp,
 }
 
 /// Mother superior -> server: job script started.
@@ -491,26 +512,6 @@ pub struct DynJoinCmd {
     pub token: u64,
     /// The new accelerator hosts.
     pub accs: Vec<HostId>,
-}
-
-/// Mother superior -> new accelerator mom: `DYNJOIN_JOB`.
-#[derive(Clone)]
-pub struct DynJoinJob {
-    /// The job.
-    pub job: JobId,
-    /// Full launch info (so late joiners know the job).
-    pub launch: JobLaunch,
-    /// Where to acknowledge.
-    pub reply: Address,
-}
-
-/// New mom -> mother superior: dynamic join complete.
-#[derive(Clone)]
-pub struct DynJoinAck {
-    /// The job.
-    pub job: JobId,
-    /// The acknowledging host.
-    pub host: HostId,
 }
 
 /// Mother superior -> existing sisters: the job's resource set changed
@@ -550,25 +551,6 @@ pub struct DisjoinCmd {
     pub slices: Vec<u32>,
     /// Cores held per host (0 = exclusive accelerator node).
     pub ppn: u32,
-}
-
-/// Mother superior -> released mom: `DISJOIN_JOB`.
-#[derive(Clone)]
-pub struct DisjoinJob {
-    /// The job.
-    pub job: JobId,
-    /// Where to acknowledge.
-    pub reply: Address,
-}
-
-/// Released mom -> mother superior: disassociation complete (local tasks
-/// killed, resources free).
-#[derive(Clone)]
-pub struct DisjoinAck {
-    /// The job.
-    pub job: JobId,
-    /// The acknowledging host.
-    pub host: HostId,
 }
 
 /// Mother superior -> server: a dynamic set has been fully released.
