@@ -1447,6 +1447,10 @@ impl<'a> Parser<'a> {
                     if self.at_punct("{") {
                         return Expr::Block(self.block(), line);
                     }
+                    // Async closures: `async |x: T| ..`, `async move || ..`.
+                    if self.at_punct("|") {
+                        return self.closure(line);
+                    }
                     return Expr::Other(line);
                 }
                 "move" => {
@@ -1781,6 +1785,22 @@ mod tests {
         let mut fns = Vec::new();
         ast::for_each_fn(&f, &mut |fi, test_only| fns.push((fi.name.clone(), test_only)));
         assert_eq!(fns, vec![("go".to_string(), false), ("t".to_string(), true)]);
+    }
+
+    #[test]
+    fn async_closures() {
+        let f = assert_clean(
+            "fn f() { let g = async |m: &mut T, name: &str| { m.go(name).await; }; \
+             let h = async move |x: u32| x; let k = async move || 1; }",
+        );
+        let Item::Fn(func) = &f.items[0] else { panic!("expected fn") };
+        let mut arity = Vec::new();
+        func.body.as_ref().unwrap().for_each_expr(&mut |e| {
+            if let Expr::Closure(c) = e {
+                arity.push(c.params.len());
+            }
+        });
+        assert_eq!(arity, vec![2, 1, 0]);
     }
 
     #[test]
