@@ -5,10 +5,7 @@
 //! as compute nodes or accelerators, never both at once), paper-calibrated
 //! cost models, results averaged over seeded trials.
 
-use std::sync::Arc;
-
 use darms::prelude::*;
-use parking_lot::Mutex;
 
 use crate::runner;
 
@@ -373,10 +370,6 @@ pub mod shape {
         assert!(rows[2].batch < 1.5, "bounded: {rows:?}");
     }
 }
-
-// Keep the Arc/Mutex imports referenced for scenario extensions.
-#[allow(dead_code)]
-fn _unused(_: Arc<Mutex<()>>) {}
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@ use std::task::{Context, Poll, Waker};
 
 use crate::actor::{Actor, Ctx};
 use crate::envelope::{ActorId, Endpoint, Envelope, ProcessId};
-use crate::kernel::{EventKind, Kernel, ProcState, Scheduled, SimConfig, SimStats, TraceRecord};
+use crate::kernel::{EventKind, Kernel, ProcState, Scheduled, SimConfig, SimStats};
 use crate::process::{spawn_process, ProcBody};
 use crate::time::{SimDuration, SimTime};
 
@@ -385,13 +385,6 @@ impl Engine {
         self.kernel.borrow().stats
     }
 
-    /// Take the accumulated trace as legacy flat records (empty unless
-    /// tracing was enabled). Derived from the structured stream; prefer
-    /// [`Engine::take_events`] for new code.
-    pub fn take_trace(&self) -> Vec<TraceRecord> {
-        self.take_events().into_iter().map(TraceRecord::from).collect()
-    }
-
     /// Drain the structured event stream (empty unless tracing was
     /// enabled).
     pub fn take_events(&self) -> Vec<crate::trace::TraceEvent> {
@@ -623,7 +616,7 @@ mod tests {
                 p.trace(format!("got {v}"));
             });
             e.run();
-            e.take_trace().into_iter().map(|r| (r.time.as_nanos(), r.event)).collect()
+            e.take_events().into_iter().map(|ev| (ev.time.as_nanos(), ev.name)).collect()
         }
         let t1 = run_once(77);
         let t2 = run_once(77);

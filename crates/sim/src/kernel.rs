@@ -95,31 +95,6 @@ pub(crate) struct ProcSlot {
     pub body: ProcBody,
 }
 
-/// One line of the simulation trace, in the legacy flat form. The
-/// structured stream ([`TraceEvent`]) is the source of truth; records
-/// are derived from it by [`Engine::take_trace`](crate::Engine::take_trace)
-/// for existing consumers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceRecord {
-    /// Virtual time of the event.
-    pub time: SimTime,
-    /// Component that produced the record.
-    pub source: String,
-    /// Human-readable description.
-    pub event: String,
-}
-
-impl From<TraceEvent> for TraceRecord {
-    fn from(ev: TraceEvent) -> Self {
-        let event = match (&ev.kind, ev.detail.is_empty()) {
-            (TraceEventKind::Counter(v), _) => format!("{} = {v}", ev.name),
-            (_, true) => ev.name,
-            (_, false) => format!("{}: {}", ev.name, ev.detail),
-        };
-        TraceRecord { time: ev.time, source: ev.source_name.to_string(), event }
-    }
-}
-
 /// Engine configuration knobs.
 #[derive(Clone, Debug)]
 pub struct SimConfig {

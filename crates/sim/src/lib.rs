@@ -63,7 +63,7 @@ pub use envelope::{ActorId, Endpoint, Envelope, ProcessId};
 pub use export::{
     metrics_to_json, to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines,
 };
-pub use kernel::{Kernel, SimConfig, SimStats, TraceRecord};
+pub use kernel::{Kernel, SimConfig, SimStats};
 pub use metrics::{
     exact_quantile, HistogramSummary, MetricsRegistry, QuantileEstimator, SloSummary,
 };

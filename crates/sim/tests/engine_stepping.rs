@@ -64,7 +64,7 @@ fn trace_survives_incremental_runs() {
     sim.run_until(SimTime::ZERO + ms(10));
     sim.run_until(SimTime::MAX);
     sim.finish();
-    let trace = sim.take_trace();
-    let events: Vec<&str> = trace.iter().map(|r| r.event.as_str()).collect();
+    let trace = sim.take_events();
+    let events: Vec<&str> = trace.iter().map(|ev| ev.name.as_str()).collect();
     assert_eq!(events, vec!["early", "late"]);
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use darms::prelude::*;
 use parking_lot::Mutex;
 
-fn scenario(seed: u64) -> (Vec<(u64, String, String)>, Vec<f64>) {
+fn scenario(seed: u64) -> (Vec<TraceEvent>, Vec<f64>) {
     let mut cluster =
         Cluster::build(ClusterConfig::paper_testbed(seed).with_split(2, 4).with_trace());
     let dac = cluster.dac.clone();
@@ -37,12 +37,7 @@ fn scenario(seed: u64) -> (Vec<(u64, String, String)>, Vec<f64>) {
     }
     let stats = cluster.run();
     assert_eq!(stats.process_panics, 0);
-    let trace = cluster
-        .sim
-        .take_trace()
-        .into_iter()
-        .map(|r| (r.time.as_nanos(), r.source, r.event))
-        .collect();
+    let trace = cluster.sim.take_events();
     let lat = lat.lock().clone();
     (trace, lat)
 }
@@ -118,7 +113,7 @@ fn different_seed_different_timings() {
     // of at least some events (the logical event sequence may coincide).
     let (t1, _) = scenario(1);
     let (t2, _) = scenario(2);
-    let times1: Vec<u64> = t1.iter().map(|(t, _, _)| *t).collect();
-    let times2: Vec<u64> = t2.iter().map(|(t, _, _)| *t).collect();
+    let times1: Vec<u64> = t1.iter().map(|ev| ev.time.as_nanos()).collect();
+    let times2: Vec<u64> = t2.iter().map(|ev| ev.time.as_nanos()).collect();
     assert_ne!(times1, times2, "seeded jitter must influence timings");
 }

@@ -39,9 +39,9 @@ fn static_and_dynamic_workflow_event_order() {
 
     let trace: Vec<(f64, String, String)> = cluster
         .sim
-        .take_trace()
+        .take_events()
         .into_iter()
-        .map(|r| (r.time.as_secs_f64(), r.source, r.event))
+        .map(|ev| (ev.time.as_secs_f64(), ev.source_name.to_string(), ev.name))
         .collect();
 
     // Fig. 5 order: queued -> scheduler starts it -> mother superior ->
