@@ -31,8 +31,9 @@
 //!    scale, plus the 10k-vs-1k per-event wall ratio that proves no
 //!    O(hosts) work is left on a per-event path.
 //! 8. **volume** — the same scenario at 1k hosts, seed 42, with 500,
-//!    1000, 2000 and 3000 jobs: event count and ns/event per volume,
-//!    so per-event cost that grows with job volume shows up.
+//!    1000, 2000 and 3000 jobs: event count, network message count and
+//!    ns/event per volume, so per-event cost that grows with job volume
+//!    shows up.
 //!
 //! `--swf-jobs` / `--fig8-load` override the historical 120-job and
 //! load-16 defaults — they are defaults, not ceilings. `--smoke`
@@ -43,8 +44,9 @@
 //! datacenter@1k events/sec against a committed `BENCH_sim.json` and
 //! exits non-zero on a regression of more than 20% in either, and
 //! fails on **any** soak invariant violation, or when a job-volume
-//! cell's event count differs at all from the baseline (events are
-//! deterministic; the volume cells' ns/event is reported, not gated) —
+//! cell's event or message count differs at all from the baseline (both
+//! are deterministic; the volume cells' ns/event is reported, not
+//! gated) —
 //! this is what `make bench-check` (part of `make verify`) runs.
 
 use std::fmt::Write as _;
@@ -379,8 +381,9 @@ fn main() {
     };
 
     // 9. Job volume at 1k hosts: identical in smoke and full mode. The
-    // event counts are exact; ns/event is one wall sample per cell.
-    let volume: Vec<(usize, u64, f64)> = VOLUMES
+    // event and message counts are exact; ns/event is one wall sample
+    // per cell.
+    let volume: Vec<(usize, u64, u64, f64)> = VOLUMES
         .iter()
         .map(|&jobs| {
             let cfg = DatacenterConfig { jobs, ..DatacenterConfig::at_scale(1_000, 42) };
@@ -388,10 +391,11 @@ fn main() {
             let o = datacenter::run_datacenter(&cfg);
             let ns_per_event = t0.elapsed().as_secs_f64() * 1e9 / o.stats.events as f64;
             println!(
-                "  volume (1k hosts, {jobs} jobs): {} events, {ns_per_event:.0} ns/event",
-                o.stats.events
+                "  volume (1k hosts, {jobs} jobs): {} events, {} messages, \
+                 {ns_per_event:.0} ns/event",
+                o.stats.events, o.messages
             );
-            (jobs, o.stats.events, ns_per_event)
+            (jobs, o.stats.events, o.messages, ns_per_event)
         })
         .collect();
 
@@ -483,8 +487,11 @@ fn main() {
     json.push_str(&dc_row);
     let volume_cells = volume
         .iter()
-        .map(|(jobs, events, ns)| {
-            format!("\"events_{jobs}\": {events}, \"ns_per_event_{jobs}\": {ns:.0}")
+        .map(|(jobs, events, messages, ns)| {
+            format!(
+                "\"events_{jobs}\": {events}, \"messages_{jobs}\": {messages}, \
+                 \"ns_per_event_{jobs}\": {ns:.0}"
+            )
         })
         .collect::<Vec<_>>()
         .join(", ");
@@ -534,20 +541,22 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // Job-volume event counts are deterministic: any difference is
-        // a behaviour change, not noise.
-        for (jobs, events, _) in &volume {
-            let base = baseline_field(&baseline, "volume", &format!("events_{jobs}"));
-            if *events as f64 != base {
-                eprintln!(
-                    "bench-check FAILED: volume@{jobs} jobs ran {events} events, the committed \
-                     baseline {base} ({baseline})"
-                );
-                std::process::exit(1);
+        // Job-volume event and message counts are deterministic: any
+        // difference is a behaviour change, not noise.
+        for (jobs, events, messages, _) in &volume {
+            for (what, n) in [("events", events), ("messages", messages)] {
+                let base = baseline_field(&baseline, "volume", &format!("{what}_{jobs}"));
+                if *n as f64 != base {
+                    eprintln!(
+                        "bench-check FAILED: volume@{jobs} jobs ran {n} {what}, the committed \
+                         baseline {base} ({baseline})"
+                    );
+                    std::process::exit(1);
+                }
             }
         }
         println!(
-            "bench-check ok: volume event counts match the baseline, \
+            "bench-check ok: volume event and message counts match the baseline, \
              pingpong {pp_eps:.0} events/sec >= 80% of baseline {base_eps:.0}, \
              datacenter@1k {dc1_eps:.0} >= 80% of {base_dc:.0}, soak matrix clean, \
              fabric dispatch p99 within 20% of baseline for every class"

@@ -69,6 +69,8 @@ impl DatacenterConfig {
 pub struct DatacenterOutcome {
     /// Engine statistics of the run.
     pub stats: SimStats,
+    /// Messages the network delivered over the run (duplicates count).
+    pub messages: u64,
     /// Jobs submitted.
     pub jobs: usize,
     /// Jobs that reached a terminal state (all of them, or the run
@@ -236,6 +238,7 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
     }
     DatacenterOutcome {
         stats,
+        messages: cluster.net.stats().messages,
         jobs: cfg.jobs,
         completed,
         static_acc_jobs,

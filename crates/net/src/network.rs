@@ -2,10 +2,9 @@
 //! with the latency model, fault injection, and traffic statistics.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use darms_sim::{Ctx, Endpoint, Envelope, MetricsRegistry, Proc, SimDuration, SimTime, Tracer};
+use darms_sim::{Counter, Ctx, Endpoint, MetricsRegistry, Proc, SimDuration, SimTime, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -25,19 +24,42 @@ pub struct NetStats {
     pub dropped: u64,
 }
 
+/// One host's bindings, sorted by port, and how many ephemeral ports it
+/// has handed out. A host with no binding holds an empty `Vec`, which
+/// does not allocate.
+#[derive(Default)]
+struct PortTable {
+    bound: Vec<(Port, Endpoint)>,
+    ephemeral: u32,
+}
+
+impl PortTable {
+    fn find(&self, port: Port) -> Result<usize, usize> {
+        self.bound.binary_search_by_key(&port, |&(p, _)| p)
+    }
+}
+
+/// The registry mirror of the traffic counters. Each handle is taken
+/// on its first write, so a counter shows in the registry only once it
+/// has counted something.
+struct NetMetrics {
+    reg: MetricsRegistry,
+    messages: Option<Counter>,
+    bytes: Option<Counter>,
+    dropped: Option<Counter>,
+}
+
 struct NetState {
     hosts: Vec<Host>,
-    bindings: BTreeMap<Address, Endpoint>,
-    next_ephemeral: BTreeMap<HostId, u32>,
+    /// Port tables indexed by host, grown on a bind to a higher index.
+    ports: Vec<PortTable>,
     latency: LatencyModel,
     rng: SmallRng,
     drop_prob: f64,
     stats: NetStats,
-    /// Per-link `(from, to)` traffic counters.
-    links: BTreeMap<(HostId, HostId), NetStats>,
     /// Optional shared registry mirror of the traffic counters
     /// (`net.messages`, `net.bytes`, `net.dropped`).
-    metrics: Option<MetricsRegistry>,
+    metrics: Option<NetMetrics>,
     /// Installed chaos plan; `None` keeps the send path byte-identical
     /// to a fault-free network.
     fault: Option<FaultState>,
@@ -49,12 +71,37 @@ struct NetState {
 }
 
 impl NetState {
-    fn note_dropped(&mut self, from: HostId, to: HostId) {
+    fn note_dropped(&mut self) {
         self.stats.dropped += 1;
-        self.links.entry((from, to)).or_default().dropped += 1;
-        if let Some(m) = &self.metrics {
-            m.counter_inc("net.dropped");
+        if let Some(m) = &mut self.metrics {
+            m.dropped.get_or_insert_with(|| m.reg.counter_handle("net.dropped")).count_add(1);
         }
+    }
+
+    /// The port table of `host`, created (empty) if needed.
+    fn table(&mut self, host: HostId) -> &mut PortTable {
+        if self.ports.len() <= host.0 {
+            self.ports.resize_with(host.0 + 1, PortTable::default);
+        }
+        &mut self.ports[host.0]
+    }
+
+    fn bind(&mut self, addr: Address, ep: Endpoint) {
+        let t = self.table(addr.host);
+        match t.find(addr.port) {
+            Ok(i) => t.bound[i].1 = ep,
+            Err(i) => {
+                // Most hosts bind only their mom's port: start an empty
+                // table at one slot, not `Vec`'s minimum of four.
+                t.bound.reserve_exact(usize::from(t.bound.is_empty()));
+                t.bound.insert(i, (addr.port, ep))
+            }
+        }
+    }
+
+    fn resolve(&self, addr: Address) -> Option<Endpoint> {
+        let t = self.ports.get(addr.host.0)?;
+        t.find(addr.port).ok().map(|i| t.bound[i].1)
     }
 }
 
@@ -92,13 +139,11 @@ impl Network {
         Network {
             state: Arc::new(Mutex::new(NetState {
                 hosts: Vec::new(),
-                bindings: BTreeMap::new(),
-                next_ephemeral: BTreeMap::new(),
+                ports: Vec::new(),
                 latency,
                 rng: SmallRng::seed_from_u64(seed),
                 drop_prob: 0.0,
                 stats: NetStats::default(),
-                links: BTreeMap::new(),
                 metrics: None,
                 fault: None,
                 control_retry: None,
@@ -139,10 +184,11 @@ impl Network {
         self.state.lock().tracer = Some(t);
     }
 
-    /// Mirror traffic counters into `m` (`net.messages`, `net.bytes`,
+    /// Mirror traffic counters into `reg` (`net.messages`, `net.bytes`,
     /// `net.dropped`) from now on.
-    pub fn attach_metrics(&self, m: MetricsRegistry) {
-        self.state.lock().metrics = Some(m);
+    pub fn attach_metrics(&self, reg: MetricsRegistry) {
+        self.state.lock().metrics =
+            Some(NetMetrics { reg, messages: None, bytes: None, dropped: None });
     }
 
     /// Register a host; returns its id.
@@ -198,45 +244,35 @@ impl Network {
     /// Bind an endpoint at a fixed address (e.g. a daemon's well-known
     /// port). Re-binding an address replaces the previous binding.
     pub fn bind(&self, addr: Address, ep: Endpoint) {
-        self.state.lock().bindings.insert(addr, ep);
+        self.state.lock().bind(addr, ep);
     }
 
     /// Bind at an ephemeral port on `host`; returns the full address.
     pub fn bind_auto(&self, host: HostId, ep: Endpoint) -> Address {
         let mut s = self.state.lock();
-        let next = s.next_ephemeral.entry(host).or_insert(ports::EPHEMERAL_BASE);
-        let port = Port(*next);
-        *next += 1;
-        let addr = Address::new(host, port);
-        s.bindings.insert(addr, ep);
+        let t = s.table(host);
+        let addr = Address::new(host, Port(ports::EPHEMERAL_BASE + t.ephemeral));
+        t.ephemeral += 1;
+        s.bind(addr, ep);
         addr
     }
 
     /// Remove a binding.
     pub fn unbind(&self, addr: Address) {
-        self.state.lock().bindings.remove(&addr);
+        let mut s = self.state.lock();
+        if let Some(Ok(i)) = s.ports.get(addr.host.0).map(|t| t.find(addr.port)) {
+            s.ports[addr.host.0].bound.remove(i);
+        }
     }
 
     /// Resolve an address to its bound endpoint.
     pub fn resolve(&self, addr: Address) -> Option<Endpoint> {
-        self.state.lock().bindings.get(&addr).copied()
+        self.state.lock().resolve(addr)
     }
 
     /// Traffic counters so far.
     pub fn stats(&self) -> NetStats {
         self.state.lock().stats
-    }
-
-    /// Traffic counters for one directed link.
-    pub fn link_stats(&self, from: HostId, to: HostId) -> NetStats {
-        self.state.lock().links.get(&(from, to)).copied().unwrap_or_default()
-    }
-
-    /// All directed links with traffic, sorted by `(from, to)` (the
-    /// `BTreeMap` key order).
-    pub fn links(&self) -> Vec<((HostId, HostId), NetStats)> {
-        let s = self.state.lock();
-        s.links.iter().map(|(&k, &st)| (k, st)).collect()
     }
 
     /// The latency model in effect (read-only copy; layers above use it
@@ -251,31 +287,22 @@ impl Network {
     /// `now` is consulted lazily: only when a [`FaultPlan`] is installed
     /// and the message crosses hosts does the fault layer need the
     /// virtual clock, so the fault-free path never touches the kernel.
-    /// `can_dup` says whether the caller is able to deliver a duplicate
-    /// copy (the envelope path cannot clone its payload).
-    fn route(
-        &self,
-        from: HostId,
-        to: Address,
-        bytes: u64,
-        now: impl FnOnce() -> SimTime,
-        can_dup: bool,
-    ) -> Route {
+    fn route(&self, from: HostId, to: Address, bytes: u64, now: impl FnOnce() -> SimTime) -> Route {
         let mut s = self.state.lock();
         if s.hosts.get(from.0).is_none_or(|h| h.down)
             || s.hosts.get(to.host.0).is_none_or(|h| h.down)
         {
-            s.note_dropped(from, to.host);
+            s.note_dropped();
             return Route::Fail(SendOutcome::HostDown);
         }
-        let Some(ep) = s.bindings.get(&to).copied() else {
-            s.note_dropped(from, to.host);
+        let Some(ep) = s.resolve(to) else {
+            s.note_dropped();
             return Route::Fail(SendOutcome::NoBinding);
         };
         if s.drop_prob > 0.0 {
             let roll: f64 = rand::Rng::gen(&mut s.rng);
             if roll < s.drop_prob {
-                s.note_dropped(from, to.host);
+                s.note_dropped();
                 return Route::Fail(SendOutcome::Lost);
             }
         }
@@ -286,12 +313,7 @@ impl Network {
         let verdict = if !local && s.fault.is_some() {
             let t = now();
             let NetState { fault, tracer, .. } = &mut *s;
-            let mut v = fault.as_mut().expect("checked above").judge(from, to.host, t);
-            if let Verdict::Deliver { duplicate: d @ Some(_), .. } = &mut v {
-                if !can_dup {
-                    *d = None;
-                }
-            }
+            let v = fault.as_mut().expect("checked above").judge(from, to.host, t);
             if let Some(tr) = tracer {
                 let kind = match v {
                     Verdict::Drop(reason) => Some(reason),
@@ -310,25 +332,22 @@ impl Network {
         };
         let (extra, duplicate) = match verdict {
             Verdict::Drop(_) => {
-                s.note_dropped(from, to.host);
+                s.note_dropped();
                 return Route::SilentDrop;
             }
             Verdict::Deliver { extra, duplicate } => (extra, duplicate),
         };
         // Split-borrow the state so the latency model is consulted in
         // place — no per-message clone of the model.
-        let NetState { latency, rng, stats, links, metrics, .. } = &mut *s;
+        let NetState { latency, rng, stats, metrics, .. } = &mut *s;
         let base = latency.delay(local, bytes, rng);
         let delay = base + extra;
         let copies = 1 + duplicate.is_some() as u64;
         stats.messages += copies;
         stats.bytes += bytes * copies;
-        let link = links.entry((from, to.host)).or_default();
-        link.messages += copies;
-        link.bytes += bytes * copies;
-        if let Some(m) = metrics {
-            m.counter_add("net.messages", copies);
-            m.counter_add("net.bytes", bytes * copies);
+        if let Some(NetMetrics { reg, messages, bytes: b, .. }) = metrics {
+            messages.get_or_insert_with(|| reg.counter_handle("net.messages")).count_add(copies);
+            b.get_or_insert_with(|| reg.counter_handle("net.bytes")).count_add(bytes * copies);
         }
         Route::Deliver { ep, delay, dup: duplicate.map(|e| base + e) }
     }
@@ -348,7 +367,7 @@ impl Network {
         payload: T,
         bytes: u64,
     ) -> SendOutcome {
-        match self.route(from, to, bytes, || p.now(), true) {
+        match self.route(from, to, bytes, || p.now()) {
             Route::Deliver { ep, delay, dup } => {
                 if let Some(d) = dup {
                     p.send(ep, payload.clone(), d);
@@ -372,33 +391,12 @@ impl Network {
         payload: T,
         bytes: u64,
     ) -> SendOutcome {
-        match self.route(from, to, bytes, || ctx.now(), true) {
+        match self.route(from, to, bytes, || ctx.now()) {
             Route::Deliver { ep, delay, dup } => {
                 if let Some(d) = dup {
                     ctx.send(ep, payload.clone(), d);
                 }
                 ctx.send(ep, payload, delay);
-                SendOutcome::Sent(delay)
-            }
-            Route::SilentDrop => SendOutcome::Sent(SimDuration::ZERO),
-            Route::Fail(o) => o,
-        }
-    }
-
-    /// Send a pre-built envelope (keeps an existing `src`). An envelope
-    /// payload cannot be cloned, so the fault layer never duplicates on
-    /// this path (drops and delays still apply).
-    pub fn send_env_from_proc(
-        &self,
-        p: &Proc,
-        from: HostId,
-        to: Address,
-        env: Envelope,
-        bytes: u64,
-    ) -> SendOutcome {
-        match self.route(from, to, bytes, || p.now(), false) {
-            Route::Deliver { ep, delay, .. } => {
-                p.send_env(ep, env, delay);
                 SendOutcome::Sent(delay)
             }
             Route::SilentDrop => SendOutcome::Sent(SimDuration::ZERO),
@@ -606,6 +604,52 @@ mod tests {
         assert_eq!(*got.lock(), 2, "cross-host message must be duplicated");
         assert_eq!(n.stats().messages, 3);
         assert_eq!(n.stats().dropped, 0);
+    }
+
+    #[test]
+    fn registry_mirror_matches_stats_under_faults() {
+        let n = net();
+        let h1 = n.add_host("h1", HostKind::Compute);
+        let h2 = n.add_host("h2", HostKind::Compute);
+        let down = n.add_host("h3", HostKind::Compute);
+        let m = MetricsRegistry::new();
+        n.attach_metrics(m.clone());
+        n.install_fault_plan(FaultPlan::new(9).with_default_link(LinkFaults {
+            drop: 0.3,
+            duplicate: 0.5,
+            ..Default::default()
+        }));
+        n.set_host_down(down, true);
+        let mut sim = Engine::with_seed(1);
+        let rx = sim.spawn_process("rx", |p| async move {
+            loop {
+                let _ = p.recv().await;
+            }
+        });
+        let (remote, local) = (Address::new(h2, Port(1)), Address::new(h1, Port(1)));
+        n.bind(remote, rx.into());
+        n.bind(local, rx.into());
+        let (n2, m2) = (n.clone(), m.clone());
+        sim.spawn_process("tx", move |p| async move {
+            let counters = || m2.names().0;
+            assert!(counters().is_empty(), "no counter before the first send");
+            // Loopback is exempt from the plan: a sure delivery.
+            assert!(n2.send_from_proc(&p, h1, local, 0u8, 100).is_sent());
+            assert_eq!(counters(), ["net.bytes", "net.messages"]);
+            let to_down = Address::new(down, Port(1));
+            assert_eq!(n2.send_from_proc(&p, h1, to_down, 0u8, 100), SendOutcome::HostDown);
+            assert_eq!(counters(), ["net.bytes", "net.dropped", "net.messages"]);
+            for i in 0..200 {
+                let _ = n2.send_from_proc(&p, h1, remote, 0u8, 10 + i);
+            }
+        });
+        let stats = sim.run();
+        assert_eq!(stats.process_panics, 0);
+        let s = n.stats();
+        assert!(s.messages > 201 && s.dropped > 1, "plan both duplicates and drops: {s:?}");
+        assert_eq!(m.counter("net.messages"), s.messages);
+        assert_eq!(m.counter("net.bytes"), s.bytes);
+        assert_eq!(m.counter("net.dropped"), s.dropped);
     }
 
     #[test]

@@ -1,10 +1,89 @@
 //! Property tests of the network model.
 
-use darms_net::{Address, HostKind, LatencyModel, Network, Port};
-use darms_sim::{Engine, SimDuration};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use darms_net::{ports, Address, HostId, HostKind, LatencyModel, Network, Port, SendOutcome};
+use darms_sim::{Endpoint, Engine, SimDuration};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Registered hosts of the reference-model test; host index `HOSTS` is
+/// never registered.
+const HOSTS: usize = 4;
+
+/// One step of a binding/routing sequence: host indices run one past
+/// the registered hosts, ports span fixed and ephemeral numbers.
+#[derive(Clone, Debug)]
+enum Op {
+    Bind(usize, u32, usize),
+    BindAuto(usize, usize),
+    Unbind(usize, u32),
+    Resolve(usize, u32),
+    Send(usize, usize, u32),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    // Ports 1 and 2 are fixed; the rest are the first ephemeral numbers.
+    let port = |k: u32| if k < 2 { k + 1 } else { ports::EPHEMERAL_BASE + k - 2 };
+    (0u8..5, 0..=HOSTS, 0u32..6, 0usize..3, 0..HOSTS).prop_map(move |(kind, h, k, e, from)| {
+        match kind {
+            0 => Op::Bind(h, port(k), e),
+            1 => Op::BindAuto(h, e),
+            2 => Op::Unbind(h, port(k)),
+            3 => Op::Resolve(h, port(k)),
+            _ => Op::Send(from, h, port(k)),
+        }
+    })
+}
+
+/// What one step observed: a resolution, an ephemeral address or a send
+/// outcome.
+#[derive(Clone, Debug, PartialEq)]
+enum Seen {
+    Resolved(Option<Endpoint>),
+    Auto(Address),
+    Sent(SendOutcome),
+    Nothing,
+}
+
+/// The reference semantics: one ordered map of every binding, and a
+/// per-host counter of ephemeral ports handed out.
+fn model(ops: &[Op], eps: &[Endpoint]) -> Vec<Seen> {
+    let lat = LatencyModel::ideal();
+    let mut bound: BTreeMap<Address, Endpoint> = BTreeMap::new();
+    let mut next: BTreeMap<usize, u32> = BTreeMap::new();
+    let addr = |h: usize, p: u32| Address::new(HostId::from_raw(h), Port(p));
+    ops.iter()
+        .map(|op| match *op {
+            Op::Bind(h, p, e) => {
+                bound.insert(addr(h, p), eps[e]);
+                Seen::Nothing
+            }
+            Op::BindAuto(h, e) => {
+                let n = next.entry(h).or_insert(ports::EPHEMERAL_BASE);
+                let a = addr(h, *n);
+                *n += 1;
+                bound.insert(a, eps[e]);
+                Seen::Auto(a)
+            }
+            Op::Unbind(h, p) => {
+                bound.remove(&addr(h, p));
+                Seen::Nothing
+            }
+            Op::Resolve(h, p) => Seen::Resolved(bound.get(&addr(h, p)).copied()),
+            Op::Send(f, h, p) => Seen::Sent(if h >= HOSTS {
+                SendOutcome::HostDown
+            } else if bound.contains_key(&addr(h, p)) {
+                SendOutcome::Sent(lat.base_delay(f == h, 8))
+            } else {
+                SendOutcome::NoBinding
+            }),
+        })
+        .collect()
+}
 
 proptest! {
     /// Delay is monotone in message size and bounded by the jitter band.
@@ -67,6 +146,64 @@ proptest! {
             let addr = net.bind_auto(h, pid.into());
             prop_assert!(seen.insert(addr), "duplicate address {addr}");
         }
+    }
+}
+
+proptest! {
+    /// Per-host port tables behave exactly like one ordered map of
+    /// addresses: resolutions, ephemeral numbers and send outcomes all
+    /// match, for rebinds, unbinds, hosts that never bound anything and
+    /// a host index that was never registered.
+    #[test]
+    fn bindings_match_a_reference_map(ops in proptest::collection::vec(op(), 1..60)) {
+        let net = Network::new(LatencyModel::ideal(), 3);
+        for i in 0..HOSTS {
+            net.add_host(format!("h{i}"), HostKind::Generic);
+        }
+        let mut sim = Engine::with_seed(1);
+        let eps: Vec<Endpoint> = (0..3)
+            .map(|i| {
+                sim.spawn_process(format!("rx{i}"), |p| async move {
+                    loop {
+                        let _ = p.recv().await;
+                    }
+                })
+                .into()
+            })
+            .collect();
+        let expected = model(&ops, &eps);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (n, out, steps, eps2) = (net.clone(), seen.clone(), ops.clone(), eps.clone());
+        sim.spawn_process("ops", move |p| async move {
+            let addr = |h: usize, port: u32| Address::new(HostId::from_raw(h), Port(port));
+            for op in steps {
+                let s = match op {
+                    Op::Bind(h, port, e) => {
+                        n.bind(addr(h, port), eps2[e]);
+                        Seen::Nothing
+                    }
+                    Op::BindAuto(h, e) => Seen::Auto(n.bind_auto(HostId::from_raw(h), eps2[e])),
+                    Op::Unbind(h, port) => {
+                        n.unbind(addr(h, port));
+                        Seen::Nothing
+                    }
+                    Op::Resolve(h, port) => Seen::Resolved(n.resolve(addr(h, port))),
+                    Op::Send(f, h, port) => {
+                        Seen::Sent(n.send_from_proc(&p, HostId::from_raw(f), addr(h, port), 0u8, 8))
+                    }
+                };
+                out.lock().push(s);
+            }
+        });
+        let stats = sim.run();
+        prop_assert_eq!(stats.process_panics, 0);
+        prop_assert_eq!(&*seen.lock(), &expected);
+        let sends = expected.iter().filter(|s| matches!(s, Seen::Sent(_))).count() as u64;
+        let delivered =
+            expected.iter().filter(|s| matches!(s, Seen::Sent(SendOutcome::Sent(_)))).count();
+        let st = net.stats();
+        prop_assert_eq!((st.messages, st.bytes), (delivered as u64, 8 * delivered as u64));
+        prop_assert_eq!(st.messages + st.dropped, sends);
     }
 }
 

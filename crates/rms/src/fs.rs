@@ -22,10 +22,12 @@ pub mod files {
     pub const AC_PORT_PREFIX: &str = "ac_port_cn";
 }
 
-/// Cloneable handle to the shared pseudo-filesystem.
+/// Cloneable handle to the shared pseudo-filesystem. Files are keyed by
+/// job, then by name: a read looks the name up as a `&str`, and
+/// end-of-job cleanup drops one job's entry.
 #[derive(Clone, Default)]
 pub struct PseudoFs {
-    inner: Arc<Mutex<BTreeMap<(JobId, String), String>>>,
+    inner: Arc<Mutex<BTreeMap<JobId, BTreeMap<String, String>>>>,
 }
 
 impl PseudoFs {
@@ -36,32 +38,32 @@ impl PseudoFs {
 
     /// Write (or overwrite) a job-scoped file.
     pub fn write(&self, job: JobId, name: impl Into<String>, content: impl Into<String>) {
-        self.inner.lock().insert((job, name.into()), content.into());
+        self.inner.lock().entry(job).or_default().insert(name.into(), content.into());
     }
 
     /// Read a job-scoped file.
     pub fn read(&self, job: JobId, name: &str) -> Option<String> {
-        self.inner.lock().get(&(job, name.to_string())).cloned()
+        self.inner.lock().get(&job)?.get(name).cloned()
     }
 
     /// Remove a file; returns true if it existed.
     pub fn remove(&self, job: JobId, name: &str) -> bool {
-        self.inner.lock().remove(&(job, name.to_string())).is_some()
+        self.inner.lock().get_mut(&job).is_some_and(|files| files.remove(name).is_some())
     }
 
     /// Remove everything belonging to a job (end-of-job cleanup).
     pub fn remove_job(&self, job: JobId) {
-        self.inner.lock().retain(|(j, _), _| *j != job);
+        self.inner.lock().remove(&job);
     }
 
     /// Number of files currently stored (leak checks in tests).
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().values().map(BTreeMap::len).sum()
     }
 
     /// True if no files are stored.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.lock().values().all(BTreeMap::is_empty)
     }
 
     /// The conventional port-file name for a compute node's static
@@ -99,6 +101,29 @@ mod tests {
         assert_eq!(fs.len(), 1);
         assert_eq!(fs.read(JobId(2), "a").as_deref(), Some("3"));
         assert!(!fs.is_empty());
+    }
+
+    #[test]
+    fn remove_job_keeps_other_jobs_files() {
+        let fs = PseudoFs::new();
+        for j in 1..=3 {
+            fs.write(JobId(j), files::NODEFILE, format!("cn{j}"));
+            fs.write(JobId(j), PseudoFs::ac_port_file(0), "port");
+        }
+        fs.remove_job(JobId(2));
+        fs.remove_job(JobId(9));
+        assert_eq!(fs.len(), 4);
+        assert!(fs.read(JobId(2), files::NODEFILE).is_none());
+        for j in [1, 3] {
+            assert_eq!(fs.read(JobId(j), files::NODEFILE), Some(format!("cn{j}")));
+            assert_eq!(fs.read(JobId(j), "ac_port_cn0").as_deref(), Some("port"));
+        }
+        for j in [1, 3] {
+            assert!(fs.remove(JobId(j), files::NODEFILE));
+            assert!(fs.remove(JobId(j), "ac_port_cn0"));
+        }
+        assert!(!fs.remove(JobId(1), "ac_port_cn0"));
+        assert!(fs.is_empty());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use export::{
 };
 pub use kernel::{Kernel, SimConfig, SimStats};
 pub use metrics::{
-    exact_quantile, HistogramSummary, MetricsRegistry, QuantileEstimator, SloSummary,
+    exact_quantile, Counter, HistogramSummary, MetricsRegistry, QuantileEstimator, SloSummary,
 };
 pub use process::{Proc, ProcFuture};
 pub use recorder::{percentile, Recorder, Sample, Summary};

@@ -13,6 +13,7 @@
 //! update; time-weighted gauges merge their update timelines).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -133,9 +134,31 @@ pub struct HistogramSummary {
     pub p99: f64,
 }
 
+/// A pre-resolved counter slot of a [`MetricsRegistry`], from
+/// [`MetricsRegistry::counter_handle`]. Adding through it costs one
+/// atomic update: no name lookup, no registry lock. Clones share the
+/// slot, and the registry reads the same value.
+#[derive(Clone, Debug, Default)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Add `n` to the counter (saturating, like
+    /// [`MetricsRegistry::counter_add`]).
+    pub fn count_add(&self, n: u64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_add(n)));
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 #[derive(Default)]
 struct RegState {
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<String, Counter>,
     /// Last-write-wins gauges, with the virtual time of the write so
     /// merges can keep the later value.
     gauges: BTreeMap<String, (SimTime, f64)>,
@@ -164,11 +187,19 @@ impl MetricsRegistry {
     /// increments are a map lookup.
     pub fn counter_add(&self, name: &str, n: u64) {
         let mut s = self.inner.lock();
-        if let Some(c) = s.counters.get_mut(name) {
-            *c = c.saturating_add(n);
+        if let Some(c) = s.counters.get(name) {
+            c.count_add(n);
         } else {
-            s.counters.insert(name.to_string(), n);
+            s.counters.insert(name.to_string(), Counter(Arc::new(AtomicU64::new(n))));
         }
+    }
+
+    /// The slot of counter `name` (creating it at zero, so it shows in
+    /// [`MetricsRegistry::names`] from now on). A hot path that adds to
+    /// one counter many times takes the handle once, on its first
+    /// write, and skips the per-add name lookup.
+    pub fn counter_handle(&self, name: &str) -> Counter {
+        self.inner.lock().counters.entry(name.to_string()).or_default().clone()
     }
 
     /// Increment counter `name` by one.
@@ -178,7 +209,7 @@ impl MetricsRegistry {
 
     /// Current value of counter `name` (zero if never written).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.lock().counters.get(name).copied().unwrap_or(0)
+        self.inner.lock().counters.get(name).map_or(0, Counter::get)
     }
 
     // ----- gauges --------------------------------------------------------
@@ -331,11 +362,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Drop all recorded data.
-    pub fn clear(&self) {
-        *self.inner.lock() = RegState::default();
-    }
-
     /// Fold `other`'s data into `self`, equivalent to having recorded
     /// both streams into one registry: counters add, histograms pool,
     /// gauges keep the later-timestamped write (ties: `other` wins),
@@ -348,8 +374,7 @@ impl MetricsRegistry {
         let o = other.inner.lock();
         let mut s = self.inner.lock();
         for (k, v) in &o.counters {
-            let c = s.counters.entry(k.clone()).or_insert(0);
-            *c = c.saturating_add(*v);
+            s.counters.entry(k.clone()).or_default().count_add(v.get());
         }
         for (k, &(t, v)) in &o.gauges {
             match s.gauges.get(k) {
@@ -385,6 +410,27 @@ mod tests {
         m.counter_inc("x");
         m.counter_add("x", 4);
         assert_eq!(m.counter("x"), 5);
+    }
+
+    #[test]
+    fn counter_handle_shares_the_registry_slot() {
+        let m = MetricsRegistry::new();
+        m.counter_add("c", 2);
+        let h = m.counter_handle("c");
+        h.count_add(3);
+        m.counter_inc("c");
+        assert_eq!((m.counter("c"), h.get()), (6, 6));
+        // A handle to a new name creates it at zero, visible to names().
+        let z = m.counter_handle("z");
+        assert_eq!(m.names().0, vec!["c".to_string(), "z".to_string()]);
+        z.count_add(u64::MAX);
+        z.count_add(1);
+        assert_eq!(m.counter("z"), u64::MAX, "saturates like counter_add");
+        // Merging reads through the handles and leaves them attached.
+        let other = MetricsRegistry::new();
+        other.merge_from(&m);
+        h.count_add(1);
+        assert_eq!((other.counter("c"), m.counter("c")), (6, 7));
     }
 
     #[test]

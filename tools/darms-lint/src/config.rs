@@ -159,6 +159,7 @@ impl Config {
                 ms("counter_add", 0),
                 ms("counter_inc", 0),
                 ms("counter", 0),
+                ms("counter_handle", 0),
                 ms("gauge_set", 0),
                 ms("gauge", 0),
                 ms("twg_set", 0),
@@ -207,6 +208,9 @@ impl Config {
                 "instant",
                 "counter_add",
                 "counter_inc",
+                // `Counter::count_add`, the add of a pre-resolved
+                // `counter_handle` slot.
+                "count_add",
                 "gauge_set",
                 "twg_set",
                 "observe",

@@ -13,3 +13,21 @@ pub fn tick(m: &Metrics) {
     m.counter_inc("sched.iteratons");
     m.observe("dac.unheard_of", 1.0);
 }
+
+pub struct Counter;
+
+impl Counter {
+    pub fn count_add(&self, _n: u64) {}
+}
+
+impl Metrics {
+    pub fn counter_handle(&self, _name: &str) -> Counter {
+        Counter
+    }
+}
+
+// A pre-resolved handle is keyed by name too: the name is checked where
+// the handle is taken.
+pub fn hot(m: &Metrics) {
+    m.counter_handle("net.mesages").count_add(1);
+}

@@ -13,3 +13,15 @@ pub fn report(m: &Metrics) {
     let spent = start.elapsed().as_nanos() as u64;
     m.counter_add("net.messages", spent);
 }
+
+pub struct Counter;
+
+impl Counter {
+    pub fn count_add(&self, _n: u64) {}
+}
+
+// The add of a pre-resolved counter handle is a sink as well.
+pub fn report_handle(c: &Counter) {
+    let start = std::time::Instant::now();
+    c.count_add(start.elapsed().as_nanos() as u64);
+}
