@@ -149,12 +149,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: install a deterministic fault plan on the interconnect.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
     /// Builder: enable the node health monitor and bound the simulation
     /// horizon (monitored clusters produce periodic traffic forever, so a
     /// finite horizon is required for `run()` to return).

@@ -79,8 +79,8 @@ pub mod prelude {
         script, ClientId, DeviceClass, JobCtx, JobId, JobSpec, JobState, JobStatus,
     };
     pub use darms_sim::{
-        metrics_to_json, to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines,
-        HistogramSummary, MetricsRegistry, Recorder, SimDuration, SimStats, SimTime, Summary,
-        TraceEvent, TraceEventKind, TraceSource, Tracer,
+        to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines, HistogramSummary,
+        MetricsRegistry, Recorder, SimDuration, SimStats, SimTime, Summary, TraceEvent,
+        TraceEventKind, TraceSource, Tracer,
     };
 }

@@ -131,11 +131,6 @@ impl AccDevice {
         self.props.mem_bytes - self.used
     }
 
-    /// Live allocation count.
-    pub fn allocations(&self) -> usize {
-        self.buffers.len()
-    }
-
     /// Allocate `size` bytes (zero-initialised).
     pub fn malloc(&mut self, size: u64) -> Result<DevPtr, DevError> {
         if size > self.free_bytes() {
@@ -158,12 +153,6 @@ impl AccDevice {
             }
             None => Err(DevError::BadPointer(ptr)),
         }
-    }
-
-    /// Free everything (daemon teardown).
-    pub fn free_all(&mut self) {
-        self.buffers.clear();
-        self.used = 0;
     }
 
     fn check(&self, ptr: DevPtr, offset: u64, len: u64) -> Result<(), DevError> {
@@ -194,18 +183,6 @@ impl AccDevice {
     pub fn buffer(&self, ptr: DevPtr) -> Result<&[u8], DevError> {
         self.buffers.get(&ptr.0).map(|b| b.as_slice()).ok_or(DevError::BadPointer(ptr))
     }
-
-    /// Take an allocation out for mutation, to be restored with
-    /// [`AccDevice::put_back`] — lets kernels read one buffer while
-    /// writing another.
-    pub fn take_buffer(&mut self, ptr: DevPtr) -> Result<Vec<u8>, DevError> {
-        self.buffers.remove(&ptr.0).ok_or(DevError::BadPointer(ptr))
-    }
-
-    /// Restore a buffer taken with [`AccDevice::take_buffer`].
-    pub fn put_back(&mut self, ptr: DevPtr, buf: Vec<u8>) {
-        self.buffers.insert(ptr.0, buf);
-    }
 }
 
 /// View a byte slice as `f64`s (device buffers hold raw bytes).
@@ -233,7 +210,6 @@ mod tests {
         let b = d.malloc(2000).unwrap();
         assert_ne!(a, b);
         assert_eq!(d.used(), 3000);
-        assert_eq!(d.allocations(), 2);
         d.mem_free(a).unwrap();
         assert_eq!(d.used(), 2000);
         assert_eq!(d.mem_free(a), Err(DevError::BadPointer(a)));
@@ -265,26 +241,6 @@ mod tests {
         assert!(matches!(d.write(p, 12, &[0; 8]), Err(DevError::OutOfBounds { .. })));
         assert!(matches!(d.read(p, 0, 17), Err(DevError::OutOfBounds { .. })));
         assert!(matches!(d.read(DevPtr(0xdead), 0, 1), Err(DevError::BadPointer(_))));
-    }
-
-    #[test]
-    fn take_and_put_back() {
-        let mut d = dev();
-        let p = d.malloc(8).unwrap();
-        let mut buf = d.take_buffer(p).unwrap();
-        buf[0] = 42;
-        d.put_back(p, buf);
-        assert_eq!(d.read(p, 0, 1).unwrap(), vec![42]);
-    }
-
-    #[test]
-    fn free_all_resets() {
-        let mut d = dev();
-        d.malloc(100).unwrap();
-        d.malloc(100).unwrap();
-        d.free_all();
-        assert_eq!(d.used(), 0);
-        assert_eq!(d.allocations(), 0);
     }
 
     #[test]

@@ -205,8 +205,8 @@ impl AcSession {
             out.push(AcHandle(i));
         }
         if let Some(rec) = &session.recorder {
-            rec.record_duration("acinit.wait", t2, t1 - t0);
-            rec.record_duration("acinit.connect", t2, t2 - t1);
+            rec.record_duration("acinit.wait", t1 - t0);
+            rec.record_duration("acinit.connect", t2 - t1);
         }
         (session, out)
     }
@@ -677,7 +677,7 @@ impl AcSession {
             Ok(g) => g,
             Err(r) => {
                 if let Some(rec) = &self.recorder {
-                    rec.record_duration("acget.rejected", t1, t1 - t0);
+                    rec.record_duration("acget.rejected", t1 - t0);
                 }
                 metrics.counter_inc("dac.acget_rejected");
                 metrics.observe_duration("dac.acget_latency", t1 - t0);
@@ -687,8 +687,8 @@ impl AcSession {
         let set = self.adopt_grant(grant.client_id, grant.accs, grant.slices).await?;
         let t2 = self.mpi.proc().now();
         if let Some(rec) = &self.recorder {
-            rec.record_duration("acget.batch", t2, t1 - t0);
-            rec.record_duration("acget.mpi", t2, t2 - t1);
+            rec.record_duration("acget.batch", t1 - t0);
+            rec.record_duration("acget.mpi", t2 - t1);
         }
         metrics.counter_inc("dac.acget_granted");
         metrics.observe_duration("dac.acget_latency", t2 - t0);

@@ -58,7 +58,8 @@ use darms_experiments::{
 use darms_sim::{Engine, QuantileEstimator, SimConfig, SimDuration};
 
 /// Job volumes of the `volume` row (1k hosts, seed 42). 4000 jobs does
-/// not quiesce yet (ROADMAP item 1).
+/// not quiesce yet (the overload wedge pinned by
+/// `overloaded_datacenter_wedge_fails_at_the_horizon`).
 const VOLUMES: [usize; 4] = [500, 1_000, 2_000, 3_000];
 
 /// Ping-pong events/sec measured immediately before this PR's kernel

@@ -322,7 +322,8 @@ mod tests {
         assert!(a.stats.events > 1_000, "non-trivial event count: {}", a.stats.events);
     }
 
-    /// The overload wedge of ROADMAP item 1: at 4000 jobs on 1000 hosts,
+    /// The overload wedge of DESIGN.md §11's known-wrong `DynPhase` rows:
+    /// at 4000 jobs on 1000 hosts,
     /// timed-out jobs come back to life and the run never quiesces. The
     /// watchdog turns the wedge into a failure with a stuck-run summary
     /// (`cargo test --release -p darms-experiments -- --ignored wedge`).

@@ -156,15 +156,11 @@ pub const FIG8_LOADS: [usize; 3] = [0, 16, 20];
 /// Fig. 8: dynamic allocation of one accelerator under scheduler load of
 /// 0, 16 and 20 other qsub requests (the paper's grid).
 pub fn fig8(trials: usize) -> Vec<Fig8Row> {
-    fig8_at_loads(&FIG8_LOADS, trials)
-}
-
-/// [`fig8`] over an arbitrary load axis — the paper's 16/20 points are
-/// a default, not a ceiling; scale studies push the load well past 20.
-pub fn fig8_at_loads(loads: &[usize], trials: usize) -> Vec<Fig8Row> {
-    let grid = runner::run_grid(loads.len(), trials, |p, t| fig8_trial(loads[p], 3000 + t as u64));
+    let grid = runner::run_grid(FIG8_LOADS.len(), trials, |p, t| {
+        fig8_trial(FIG8_LOADS[p], 3000 + t as u64)
+    });
     grid.iter()
-        .zip(loads.iter().copied())
+        .zip(FIG8_LOADS)
         .map(|(cells, load)| {
             let mut others = 0.0;
             let mut service = 0.0;

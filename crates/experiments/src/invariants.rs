@@ -82,7 +82,7 @@ pub fn check_no_leaks(db: &NodeDb) -> Vec<String> {
 /// No-resurrection invariant: a job with a completion time (it exited,
 /// timed out or was cancelled) must be in a terminal state. A live state
 /// over a completion time means something wrote the job back to life
-/// (ROADMAP item 1). A requeued job carries no completion time, so it is
+/// (the known-wrong expose row of DESIGN.md §11). A requeued job carries no completion time, so it is
 /// not flagged.
 pub fn check_no_resurrection(statuses: &[JobStatus]) -> Vec<String> {
     statuses

@@ -68,11 +68,6 @@ impl MpiRuntime {
         }
     }
 
-    /// The network this runtime communicates over.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// The runtime's cost model.
     pub fn cost(&self) -> &MpiCostModel {
         &self.cost

@@ -213,10 +213,6 @@ impl FaultState {
         FaultState { plan, rng, link_ix }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Judge one cross-host message. Draws from the fault RNG only for
     /// the probabilistic link faults, so partition/outage windows do not
     /// perturb the random stream.

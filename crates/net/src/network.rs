@@ -55,7 +55,6 @@ struct NetState {
     ports: Vec<PortTable>,
     latency: LatencyModel,
     rng: SmallRng,
-    drop_prob: f64,
     stats: NetStats,
     /// Optional shared registry mirror of the traffic counters
     /// (`net.messages`, `net.bytes`, `net.dropped`).
@@ -120,8 +119,6 @@ pub enum SendOutcome {
     HostDown,
     /// Nothing is bound at the destination address.
     NoBinding,
-    /// Message lost to injected packet loss.
-    Lost,
 }
 
 impl SendOutcome {
@@ -133,8 +130,8 @@ impl SendOutcome {
 
 impl Network {
     /// Create an empty network with the given latency model. The jitter
-    /// and loss RNG is seeded independently of the engine RNG so that the
-    /// two sample streams do not perturb each other.
+    /// RNG is seeded independently of the engine RNG so that the two
+    /// sample streams do not perturb each other.
     pub fn new(latency: LatencyModel, seed: u64) -> Self {
         Network {
             state: Arc::new(Mutex::new(NetState {
@@ -142,7 +139,6 @@ impl Network {
                 ports: Vec::new(),
                 latency,
                 rng: SmallRng::seed_from_u64(seed),
-                drop_prob: 0.0,
                 stats: NetStats::default(),
                 metrics: None,
                 fault: None,
@@ -157,16 +153,6 @@ impl Network {
     /// for targeted tests.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         self.state.lock().fault = Some(FaultState::new(plan));
-    }
-
-    /// Remove the installed chaos plan, restoring the fault-free path.
-    pub fn clear_fault_plan(&self) {
-        self.state.lock().fault = None;
-    }
-
-    /// The installed chaos plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.state.lock().fault.as_ref().map(|f| f.plan().clone())
     }
 
     /// Set (or clear) the shared control-plane retry budget.
@@ -199,46 +185,14 @@ impl Network {
         id
     }
 
-    /// Number of registered hosts.
-    pub fn host_count(&self) -> usize {
-        self.state.lock().hosts.len()
-    }
-
-    /// Metadata of a host (cheap: the name is interned). Prefer the
-    /// field-specific accessors below when only one attribute is needed.
+    /// Metadata of a host (cheap: the name is interned).
     pub fn host(&self, id: HostId) -> Host {
         self.state.lock().hosts[id.0].clone()
-    }
-
-    /// Interned name of a host — a refcount bump, no `String` clone.
-    pub fn host_name(&self, id: HostId) -> Arc<str> {
-        self.state.lock().hosts[id.0].name.clone()
-    }
-
-    /// Role of a host, without cloning the entry.
-    pub fn host_kind(&self, id: HostId) -> HostKind {
-        self.state.lock().hosts[id.0].kind
-    }
-
-    /// Liveness of a host, without cloning the entry.
-    pub fn host_is_down(&self, id: HostId) -> bool {
-        self.state.lock().hosts[id.0].down
-    }
-
-    /// All hosts of a given kind.
-    pub fn hosts_of_kind(&self, kind: HostKind) -> Vec<HostId> {
-        let s = self.state.lock();
-        (0..s.hosts.len()).filter(|&i| s.hosts[i].kind == kind).map(HostId).collect()
     }
 
     /// Fail or recover a host. Messages from/to a down host are dropped.
     pub fn set_host_down(&self, id: HostId, down: bool) {
         self.state.lock().hosts[id.0].down = down;
-    }
-
-    /// Probability in `[0, 1]` that any message is silently lost.
-    pub fn set_drop_probability(&self, p: f64) {
-        self.state.lock().drop_prob = p.clamp(0.0, 1.0);
     }
 
     /// Bind an endpoint at a fixed address (e.g. a daemon's well-known
@@ -299,13 +253,6 @@ impl Network {
             s.note_dropped();
             return Route::Fail(SendOutcome::NoBinding);
         };
-        if s.drop_prob > 0.0 {
-            let roll: f64 = rand::Rng::gen(&mut s.rng);
-            if roll < s.drop_prob {
-                s.note_dropped();
-                return Route::Fail(SendOutcome::Lost);
-            }
-        }
         let local = from == to.host;
         // The chaos layer judges cross-host messages only: loopback IPC
         // never touches the interconnect, so head-local control traffic
@@ -433,13 +380,10 @@ mod tests {
         let h = n.add_host("head", HostKind::Head);
         let c = n.add_host("cn01", HostKind::Compute);
         let a = n.add_host("ac01", HostKind::Accelerator);
-        assert_eq!(n.host_count(), 3);
         assert_eq!(&*n.host(h).name, "head");
-        assert_eq!(&*n.host_name(h), "head");
-        assert_eq!(n.host_kind(c), HostKind::Compute);
-        assert!(!n.host_is_down(a));
-        assert_eq!(n.hosts_of_kind(HostKind::Compute), vec![c]);
-        assert_eq!(n.hosts_of_kind(HostKind::Accelerator), vec![a]);
+        assert_eq!(n.host(c).kind, HostKind::Compute);
+        assert_eq!(n.host(a).kind, HostKind::Accelerator);
+        assert!(!n.host(a).down);
     }
 
     #[test]
@@ -524,7 +468,9 @@ mod tests {
         let n = net();
         let h1 = n.add_host("h1", HostKind::Compute);
         let h2 = n.add_host("h2", HostKind::Compute);
-        n.set_drop_probability(0.5);
+        n.install_fault_plan(
+            FaultPlan::new(9).with_default_link(LinkFaults { drop: 0.5, ..Default::default() }),
+        );
         let mut sim = Engine::with_seed(1);
         let rx = sim.spawn_process("rx", |p| async move {
             loop {
@@ -536,10 +482,12 @@ mod tests {
         let n2 = n.clone();
         sim.spawn_process("tx", move |p| async move {
             for _ in 0..400 {
-                let _ = n2.send_from_proc(&p, h1, addr, 0u8, 8);
+                // Plan drops are silent: every send reads `Sent`.
+                assert!(n2.send_from_proc(&p, h1, addr, 0u8, 8).is_sent());
             }
         });
-        sim.run();
+        let stats = sim.run();
+        assert_eq!(stats.process_panics, 0);
         let s = n.stats();
         assert_eq!(s.messages + s.dropped, 400);
         assert!(s.dropped > 120 && s.dropped < 280, "dropped={}", s.dropped);
@@ -660,10 +608,6 @@ mod tests {
         assert_eq!(n.retry_policy(), Some(RetryPolicy::standard()));
         n.set_retry_policy(None);
         assert_eq!(n.retry_policy(), None);
-        n.install_fault_plan(FaultPlan::new(5));
-        assert_eq!(n.fault_plan().expect("installed").seed, 5);
-        n.clear_fault_plan();
-        assert!(n.fault_plan().is_none());
     }
 
     #[test]

@@ -3,7 +3,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use darms_net::{ports, Address, HostId, HostKind, LatencyModel, Network, Port, SendOutcome};
+use darms_net::{
+    ports, Address, FaultPlan, HostId, HostKind, LatencyModel, LinkFaults, Network, Port,
+    SendOutcome,
+};
 use darms_sim::{Endpoint, Engine, SimDuration};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -99,14 +102,17 @@ proptest! {
         prop_assert!(d <= det * (1.0 + m.jitter_frac) + 1e-12);
     }
 
-    /// With loss probability 0 nothing drops; with 1 everything drops.
+    /// With a plan's drop probability 0 nothing drops; with 1 everything
+    /// drops. Either way the sender sees `Sent`.
     #[test]
     fn loss_extremes(n in 1usize..50) {
         for &(p, expect_all) in &[(0.0, true), (1.0, false)] {
             let net = Network::new(LatencyModel::ideal(), 5);
             let h1 = net.add_host("a", HostKind::Generic);
             let h2 = net.add_host("b", HostKind::Generic);
-            net.set_drop_probability(p);
+            net.install_fault_plan(
+                FaultPlan::new(5).with_default_link(LinkFaults { drop: p, ..Default::default() }),
+            );
             let mut sim = Engine::with_seed(1);
             let rx = sim.spawn_process("rx", |p| async move {
                 loop {
@@ -118,10 +124,10 @@ proptest! {
             let n2 = net.clone();
             sim.spawn_process("tx", move |proc| async move {
                 for _ in 0..n {
-                    let _ = n2.send_from_proc(&proc, h1, addr, 0u8, 8);
+                    assert!(n2.send_from_proc(&proc, h1, addr, 0u8, 8).is_sent());
                 }
             });
-            sim.run();
+            prop_assert_eq!(sim.run().process_panics, 0);
             let s = net.stats();
             if expect_all {
                 prop_assert_eq!(s.messages as usize, n);

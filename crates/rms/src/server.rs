@@ -182,7 +182,7 @@ impl DynPhase {
         match self {
             DynPhase::Serviced => matches!(input, Expose | Purge),
             DynPhase::Exposed { .. } => matches!(input, Run | Reject | Purge),
-            // ROADMAP item 1: `Run` re-grants, leaking the first set until
+            // Known wrong (DESIGN.md §11): `Run` re-grants, leaking the first set until
             // the job exits, and `Reject` releases nothing.
             DynPhase::Granted { .. } => {
                 matches!(input, Run | Reject | GrantTimer | Ready | Purge)
@@ -655,7 +655,7 @@ impl PbsServer {
         let now = ctx.now();
         let Some(a) = self.dyns.lookup(DynInput::Expose, token) else { return };
         a.phase = DynPhase::Exposed { at: now };
-        // ROADMAP item 1: this also overwrites a job that exited while
+        // Known wrong (DESIGN.md §11): this also overwrites a job that exited while
         // the request was being serviced.
         if let Some(job) = self.jobs.get_mut(&a.req.job) {
             job.state = JobState::DynQueued;
@@ -664,8 +664,9 @@ impl PbsServer {
     }
 
     fn handle_run_dyn(&mut self, ctx: &mut Ctx<'_>, cmd: RunDynCmd) {
-        let Some(mut a) = self.dyns.take(DynInput::Run, cmd.token) else { return }; // stale
-                                                                                    // Validate the grant against the live node state.
+        // A stale command finds no request to take.
+        let Some(mut a) = self.dyns.take(DynInput::Run, cmd.token) else { return };
+        // Validate the grant against the live node state.
         let (job, kind) = (a.req.job, a.req.kind);
         let ok = {
             let db = self.db.lock();
@@ -1269,9 +1270,9 @@ mod tests {
             (DynPhase::Exposed { at: at(1) }, Ready, false),
             (DynPhase::Exposed { at: at(1) }, Purge, true),
             (granted(), Expose, false),
-            // Known wrong (ROADMAP item 1): a re-grant leaks the first set.
+            // Known wrong (DESIGN.md §11): a re-grant leaks the first set.
             (granted(), Run, true),
-            // Known wrong (ROADMAP item 1): the granted set is not released.
+            // Known wrong (DESIGN.md §11): the granted set is not released.
             (granted(), Reject, true),
             (granted(), GrantTimer, true),
             (granted(), Ready, true),
@@ -1507,7 +1508,7 @@ mod tests {
         });
         assert_eq!(rig.engine.run().process_panics, 0);
         let (state, completed) = seen.borrow().expect("qstat answered");
-        // Known wrong (ROADMAP item 1): the expose resurrects the timed-out job.
+        // Known wrong (DESIGN.md §11): the expose resurrects the timed-out job.
         assert_eq!(state, JobState::DynQueued);
         assert!(completed.is_some());
     }
@@ -1543,7 +1544,7 @@ mod tests {
         assert_eq!(*seen.borrow(), vec![Ok(vec![a1]), Err(())]);
         let db = rig.db.lock();
         let held = |h: HostId| db.get(h).is_some_and(|n| !n.is_free());
-        // Known wrong (ROADMAP item 1): the re-grant leaks a0 to the job
+        // Known wrong (DESIGN.md §11): the re-grant leaks a0 to the job
         // and the rejection leaves a2 allocated.
         assert!(held(a0) && held(a1) && held(a2));
     }

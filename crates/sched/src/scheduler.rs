@@ -396,7 +396,7 @@ impl MauiScheduler {
                     if me.last_dyn_recorded != Some(d.token) {
                         me.last_dyn_recorded = Some(d.token);
                         if let Some(rec) = &me.recorder {
-                            rec.record_duration("sched.dyn_wait", now, wait);
+                            rec.record_duration("sched.dyn_wait", wait);
                         }
                         let metrics = ctx.metrics();
                         metrics.observe_duration("sched.dyn_wait", wait);

@@ -75,11 +75,6 @@ impl Engine {
         self.spawn_process_after(name, SimDuration::ZERO, entry)
     }
 
-    /// Shared handle to the kernel (for composing subsystems at setup time).
-    pub fn kernel(&self) -> Rc<RefCell<Kernel>> {
-        self.kernel.clone()
-    }
-
     /// Run to completion: until the event queue drains, the horizon or
     /// event cap is reached. Afterwards all process threads are unwound
     /// and joined. Returns run statistics.

@@ -8,8 +8,6 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::metrics::MetricsRegistry;
-use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceEventKind, TraceSource};
 
 /// Append `s` to `out` as a JSON string literal (with quotes).
@@ -184,81 +182,11 @@ pub fn write_json_lines(path: impl AsRef<Path>, events: &[TraceEvent]) -> io::Re
     f.write_all(to_json_lines(events).as_bytes())
 }
 
-/// Serialize a registry snapshot as one JSON object: counters and
-/// gauges verbatim, histograms as quantile summaries, time-weighted
-/// gauges as `{last, mean}` with the mean integrated up to `until`.
-pub fn metrics_to_json(metrics: &MetricsRegistry, until: SimTime) -> String {
-    let (counters, gauges, twgs, histograms) = metrics.names();
-    let mut out = String::new();
-    out.push_str("{\"counters\":{");
-    for (i, name) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        out.push(':');
-        out.push_str(&metrics.counter(name).to_string());
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, name) in gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        out.push(':');
-        push_json_f64(&mut out, metrics.gauge(name).unwrap_or(f64::NAN));
-    }
-    out.push_str("},\"time_weighted\":{");
-    for (i, name) in twgs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        out.push_str(":{\"last\":");
-        push_json_f64(&mut out, metrics.twg_value(name).unwrap_or(f64::NAN));
-        out.push_str(",\"mean\":");
-        match metrics.twg_mean(name, until) {
-            Some(m) => push_json_f64(&mut out, m),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, name) in histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, name);
-        match metrics.histogram(name) {
-            Some(h) => {
-                out.push_str(":{\"count\":");
-                out.push_str(&h.count.to_string());
-                for (k, v) in [
-                    ("min", h.min),
-                    ("max", h.max),
-                    ("mean", h.mean),
-                    ("p50", h.p50),
-                    ("p95", h.p95),
-                    ("p99", h.p99),
-                ] {
-                    out.push_str(",\"");
-                    out.push_str(k);
-                    out.push_str("\":");
-                    push_json_f64(&mut out, v);
-                }
-                out.push('}');
-            }
-            None => out.push_str(":null"),
-        }
-    }
-    out.push_str("}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::envelope::{ActorId, ProcessId};
+    use crate::time::SimTime;
     use crate::trace::Tracer;
 
     fn t(ns: u64) -> SimTime {
@@ -312,19 +240,5 @@ mod tests {
         let b = sample_events();
         assert_eq!(to_json_lines(&a), to_json_lines(&b));
         assert_eq!(to_chrome_trace(&a), to_chrome_trace(&b));
-    }
-
-    #[test]
-    fn metrics_json_shape() {
-        let m = MetricsRegistry::new();
-        m.counter_add("net.messages", 7);
-        m.gauge_set("g", t(5), 1.5);
-        m.twg_set("util", t(0), 2.0);
-        m.observe("lat", 0.25);
-        let s = metrics_to_json(&m, t(1_000_000_000));
-        assert!(s.contains("\"net.messages\":7"));
-        assert!(s.contains("\"g\":1.5"));
-        assert!(s.contains("\"last\":2"));
-        assert!(s.contains("\"count\":1"));
     }
 }

@@ -60,14 +60,12 @@ pub mod trace;
 pub use actor::{Actor, Ctx};
 pub use engine::Engine;
 pub use envelope::{ActorId, Endpoint, Envelope, ProcessId};
-pub use export::{
-    metrics_to_json, to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines,
-};
+pub use export::{to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines};
 pub use kernel::{Kernel, SimConfig, SimStats};
 pub use metrics::{
     exact_quantile, Counter, HistogramSummary, MetricsRegistry, QuantileEstimator, SloSummary,
 };
 pub use process::{Proc, ProcFuture};
-pub use recorder::{percentile, Recorder, Sample, Summary};
+pub use recorder::{percentile, Recorder, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceEventKind, TraceSource, Tracer};

@@ -1,4 +1,4 @@
-//! A uniform metrics registry: counters, gauges, time-weighted gauges
+//! A uniform metrics registry: counters, time-weighted gauges
 //! integrated over *virtual* time, and histograms with quantile
 //! summaries.
 //!
@@ -9,8 +9,8 @@
 //! It is cloneable — all clones share state — and mergeable:
 //! [`MetricsRegistry::merge_from`] folds another registry in such that
 //! the result equals having recorded everything into one registry
-//! (counters sum; histograms pool samples; gauges keep the latest
-//! update; time-weighted gauges merge their update timelines).
+//! (counters sum; histograms pool samples; time-weighted gauges merge
+//! their update timelines).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,9 +159,6 @@ impl Counter {
 #[derive(Default)]
 struct RegState {
     counters: BTreeMap<String, Counter>,
-    /// Last-write-wins gauges, with the virtual time of the write so
-    /// merges can keep the later value.
-    gauges: BTreeMap<String, (SimTime, f64)>,
     /// Full update timelines `(time, value)`, kept sorted by time, so
     /// time-weighted means are exact and merges are lossless.
     time_weighted: BTreeMap<String, Vec<(SimTime, f64)>>,
@@ -212,23 +209,6 @@ impl MetricsRegistry {
         self.inner.lock().counters.get(name).map_or(0, Counter::get)
     }
 
-    // ----- gauges --------------------------------------------------------
-
-    /// Set gauge `name` to `value` as of virtual time `now`.
-    pub fn gauge_set(&self, name: &str, now: SimTime, value: f64) {
-        let mut s = self.inner.lock();
-        if let Some(g) = s.gauges.get_mut(name) {
-            *g = (now, value);
-        } else {
-            s.gauges.insert(name.to_string(), (now, value));
-        }
-    }
-
-    /// Last value of gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.lock().gauges.get(name).map(|&(_, v)| v)
-    }
-
     // ----- time-weighted gauges ------------------------------------------
 
     /// Record that time-weighted gauge `name` changed to `value` at
@@ -254,11 +234,6 @@ impl MetricsRegistry {
             return;
         }
         push(s.time_weighted.entry(name.to_string()).or_default(), now, value);
-    }
-
-    /// Last value of time-weighted gauge `name`.
-    pub fn twg_value(&self, name: &str) -> Option<f64> {
-        self.inner.lock().time_weighted.get(name).and_then(|s| s.last()).map(|&(_, v)| v)
     }
 
     /// Time-weighted mean of gauge `name` over `[first_update, until]`:
@@ -334,29 +309,14 @@ impl MetricsRegistry {
         self.inner.lock().histograms.get(name).cloned().unwrap_or_default()
     }
 
-    /// Exact nearest-rank SLO quantiles (p50/p99/p999) of histogram
-    /// `name`; `None` when the histogram is missing or empty. Unlike
-    /// [`MetricsRegistry::histogram`] the quantiles are observed
-    /// samples, never interpolations (see [`exact_quantile`]).
-    pub fn slo_summary(&self, name: &str) -> Option<SloSummary> {
-        let mut est = QuantileEstimator::new();
-        {
-            let s = self.inner.lock();
-            est.observe_all(s.histograms.get(name)?);
-        }
-        est.summary()
-    }
-
     // ----- introspection & merge -----------------------------------------
 
-    /// Names of all metrics, grouped as (counters, gauges,
-    /// time-weighted gauges, histograms).
-    #[allow(clippy::type_complexity)]
-    pub fn names(&self) -> (Vec<String>, Vec<String>, Vec<String>, Vec<String>) {
+    /// Names of all metrics, grouped as (counters, time-weighted
+    /// gauges, histograms).
+    pub fn names(&self) -> (Vec<String>, Vec<String>, Vec<String>) {
         let s = self.inner.lock();
         (
             s.counters.keys().cloned().collect(),
-            s.gauges.keys().cloned().collect(),
             s.time_weighted.keys().cloned().collect(),
             s.histograms.keys().cloned().collect(),
         )
@@ -364,7 +324,6 @@ impl MetricsRegistry {
 
     /// Fold `other`'s data into `self`, equivalent to having recorded
     /// both streams into one registry: counters add, histograms pool,
-    /// gauges keep the later-timestamped write (ties: `other` wins),
     /// time-weighted timelines merge sorted by time. `other` is left
     /// untouched.
     pub fn merge_from(&self, other: &MetricsRegistry) {
@@ -375,14 +334,6 @@ impl MetricsRegistry {
         let mut s = self.inner.lock();
         for (k, v) in &o.counters {
             s.counters.entry(k.clone()).or_default().count_add(v.get());
-        }
-        for (k, &(t, v)) in &o.gauges {
-            match s.gauges.get(k) {
-                Some(&(t0, _)) if t0 > t => {}
-                _ => {
-                    s.gauges.insert(k.clone(), (t, v));
-                }
-            }
         }
         for (k, updates) in &o.time_weighted {
             let series = s.time_weighted.entry(k.clone()).or_default();
@@ -434,15 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_last_write_wins() {
-        let m = MetricsRegistry::new();
-        assert_eq!(m.gauge("g"), None);
-        m.gauge_set("g", t(1), 2.0);
-        m.gauge_set("g", t(2), 7.0);
-        assert_eq!(m.gauge("g"), Some(7.0));
-    }
-
-    #[test]
     fn twg_integrates_over_virtual_time() {
         let m = MetricsRegistry::new();
         // 0 for 10s, then 4 for 10s, then 2 for 20s → mean over 40s = 2.0
@@ -451,7 +393,6 @@ mod tests {
         m.twg_set("util", t(20), 2.0);
         let mean = m.twg_mean("util", t(40)).unwrap();
         assert!((mean - 2.0).abs() < 1e-12, "(0*10 + 4*10 + 2*20)/40 = 2.0, got {mean}");
-        assert_eq!(m.twg_value("util"), Some(2.0));
         // Truncated window: only the first value is in effect.
         let early = m.twg_mean("util", t(10)).unwrap();
         assert_eq!(early, 0.0);
@@ -532,17 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_slo_summary_matches_estimator() {
-        let m = MetricsRegistry::new();
-        assert_eq!(m.slo_summary("h"), None);
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            m.observe("h", v);
-        }
-        let s = m.slo_summary("h").unwrap();
-        assert_eq!((s.count, s.p50, s.p99, s.p999), (5, 3.0, 5.0, 5.0));
-    }
-
-    #[test]
     fn observe_duration_records_seconds() {
         let m = MetricsRegistry::new();
         m.observe_duration("d", SimDuration::from_millis(1500));
@@ -565,12 +495,9 @@ mod tests {
         b.counter_add("c", 3);
         a.observe("h", 1.0);
         b.observe("h", 9.0);
-        a.gauge_set("g", t(1), 1.0);
-        b.gauge_set("g", t(2), 2.0);
         a.merge_from(&b);
         assert_eq!(a.counter("c"), 5);
         assert_eq!(a.histogram("h").unwrap().count, 2);
-        assert_eq!(a.gauge("g"), Some(2.0), "later-timestamped gauge wins");
         // b untouched
         assert_eq!(b.counter("c"), 3);
     }

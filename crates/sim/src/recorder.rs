@@ -10,20 +10,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::time::{SimDuration, SimTime};
-
-/// One recorded sample.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Sample {
-    /// Virtual time the sample was recorded at.
-    pub at: SimTime,
-    /// The value (seconds for durations, raw units otherwise).
-    pub value: f64,
-}
+use crate::time::SimDuration;
 
 #[derive(Default)]
 struct Inner {
-    series: BTreeMap<String, Vec<Sample>>,
+    /// Values per series, in recording order (seconds for durations,
+    /// raw units otherwise).
+    series: BTreeMap<String, Vec<f64>>,
 }
 
 /// Cloneable, thread-safe sample sink.
@@ -39,44 +32,24 @@ impl Recorder {
     }
 
     /// Record a raw value into the named series.
-    pub fn record(&self, series: &str, at: SimTime, value: f64) {
-        self.inner.lock().series.entry(series.to_string()).or_default().push(Sample { at, value });
+    pub fn record(&self, series: &str, value: f64) {
+        self.inner.lock().series.entry(series.to_string()).or_default().push(value);
     }
 
     /// Record a duration (stored in seconds) into the named series.
-    pub fn record_duration(&self, series: &str, at: SimTime, d: SimDuration) {
-        self.record(series, at, d.as_secs_f64());
+    pub fn record_duration(&self, series: &str, d: SimDuration) {
+        self.record(series, d.as_secs_f64());
     }
 
-    /// Names of all series recorded so far, sorted.
-    pub fn series_names(&self) -> Vec<String> {
-        self.inner.lock().series.keys().cloned().collect()
-    }
-
-    /// All samples of a series, in recording order.
-    pub fn samples(&self, series: &str) -> Vec<Sample> {
-        self.inner.lock().series.get(series).cloned().unwrap_or_default()
-    }
-
-    /// Raw values of a series.
+    /// The values of a series, in recording order.
     pub fn values(&self, series: &str) -> Vec<f64> {
-        self.samples(series).into_iter().map(|s| s.value).collect()
-    }
-
-    /// Number of samples in a series.
-    pub fn count(&self, series: &str) -> usize {
-        self.inner.lock().series.get(series).map_or(0, Vec::len)
+        self.inner.lock().series.get(series).cloned().unwrap_or_default()
     }
 
     /// Summary statistics of a series, or `None` if it is empty.
     pub fn summary(&self, series: &str) -> Option<Summary> {
         let values = self.values(series);
         Summary::of(&values)
-    }
-
-    /// Remove all samples (reuse between trials).
-    pub fn clear(&self) {
-        self.inner.lock().series.clear();
     }
 }
 
@@ -143,8 +116,8 @@ mod tests {
     #[test]
     fn record_and_summarise() {
         let r = Recorder::new();
-        for (i, v) in [1.0, 2.0, 3.0, 4.0].iter().enumerate() {
-            r.record("x", SimTime::from_nanos(i as u64), *v);
+        for v in [1.0, 2.0, 3.0, 4.0] {
+            r.record("x", v);
         }
         let s = r.summary("x").unwrap();
         assert_eq!(s.n, 4);
@@ -158,14 +131,13 @@ mod tests {
     fn empty_series_has_no_summary() {
         let r = Recorder::new();
         assert!(r.summary("missing").is_none());
-        assert_eq!(r.count("missing"), 0);
         assert!(r.values("missing").is_empty());
     }
 
     #[test]
     fn durations_stored_as_seconds() {
         let r = Recorder::new();
-        r.record_duration("d", SimTime::ZERO, SimDuration::from_millis(250));
+        r.record_duration("d", SimDuration::from_millis(250));
         assert_eq!(r.values("d"), vec![0.25]);
     }
 
@@ -175,21 +147,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 10.0);
         assert_eq!(percentile(&v, 1.0), 40.0);
         assert!((percentile(&v, 0.5) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let r = Recorder::new();
-        r.record("x", SimTime::ZERO, 1.0);
-        r.clear();
-        assert_eq!(r.count("x"), 0);
-    }
-
-    #[test]
-    fn series_names_sorted() {
-        let r = Recorder::new();
-        r.record("b", SimTime::ZERO, 1.0);
-        r.record("a", SimTime::ZERO, 1.0);
-        assert_eq!(r.series_names(), vec!["a".to_string(), "b".to_string()]);
     }
 }

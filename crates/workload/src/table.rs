@@ -66,16 +66,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (for plotting).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 /// Format seconds with millisecond precision (the unit of the figures).
@@ -98,13 +88,6 @@ mod tests {
         assert!(s.lines().count() >= 5);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_round_trips_cells() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! precedence is flattened (`Binary` is an operator-joined sequence),
 //! and anything the dataflow rules don't need collapses into `Other`.
 //! What it does keep is exactly the structure the rules consume:
-//! items and fns (with async-ness and `#[cfg(test)]` visibility),
+//! items and fns (with async-ness, bare `pub` and `#[cfg(test)]`
+//! visibility), the identifiers of unparsed macro bodies,
 //! blocks and statements with line spans, let-bindings with patterns,
 //! struct and variant fields,
 //! call/method-call expressions with argument lists, string literals
@@ -104,6 +105,8 @@ pub struct Field {
 #[derive(Debug)]
 pub struct FnItem {
     pub name: String,
+    /// Declared bare `pub` (not `pub(crate)` / `pub(in ..)`).
+    pub is_pub: bool,
     pub is_async: bool,
     pub params: Vec<Param>,
     pub body: Option<Block>,
@@ -146,6 +149,8 @@ pub struct ContainerItem {
 #[derive(Debug)]
 pub struct ConstItem {
     pub name: String,
+    /// Declared bare `pub` (not `pub(crate)` / `pub(in ..)`).
+    pub is_pub: bool,
     pub ty: Option<String>,
     pub init: Option<Expr>,
     pub line: u32,
@@ -158,6 +163,9 @@ pub struct OtherItem {
     pub kw: String,
     /// Named fields of a `struct` / `union` (empty otherwise).
     pub fields: Vec<Field>,
+    /// Identifiers of an unparsed macro body: a `macro_rules!`
+    /// definition or an item-level invocation (`proptest! { .. }`).
+    pub macro_idents: Vec<String>,
     pub line: u32,
     pub end_line: u32,
     pub attrs: Attrs,

@@ -86,6 +86,14 @@ pub struct Config {
     /// Method names that emit into traces/metrics/event payloads: a
     /// tainted value reaching any argument of these is a finding.
     pub taint_sink_fns: Vec<String>,
+    /// Path patterns (`*` matches one segment, each pattern matches a
+    /// prefix) of the library sources whose bare-`pub` fns, consts and
+    /// statics need a use outside their own file's tests (`dead-api`;
+    /// `bin/` trees are exempt).
+    pub api_dirs: Vec<String>,
+    /// Directories read only as `dead-api` use roots: parsed for uses
+    /// of workspace items, never linted themselves.
+    pub use_roots: Vec<String>,
 }
 
 impl Config {
@@ -160,17 +168,13 @@ impl Config {
                 ms("counter_inc", 0),
                 ms("counter", 0),
                 ms("counter_handle", 0),
-                ms("gauge_set", 0),
-                ms("gauge", 0),
                 ms("twg_set", 0),
-                ms("twg_value", 0),
                 ms("twg_mean", 0),
                 ms("twg_updates", 0),
                 ms("observe", 0),
                 ms("observe_duration", 0),
                 ms("histogram", 0),
                 ms("histogram_samples", 0),
-                ms("slo_summary", 0),
                 // Tracer: (time, source, source_name, name, ..): name
                 // is the fourth argument. `counter` is keyed at both
                 // positions; only string-literal arguments are checked,
@@ -211,7 +215,6 @@ impl Config {
                 // `Counter::count_add`, the add of a pre-resolved
                 // `counter_handle` slot.
                 "count_add",
-                "gauge_set",
                 "twg_set",
                 "observe",
                 "observe_duration",
@@ -219,14 +222,19 @@ impl Config {
             .iter()
             .map(|s| s.to_string())
             .collect(),
+            api_dirs: vec!["crates/*/src".into()],
+            // The frozen benchmark package drives the workspace API
+            // from outside the lint's scan set.
+            use_roots: vec!["perfbench/src".into(), "perfbench/tests".into()],
         }
     }
 
     /// Lint a single file in isolation (fixture tests): same rule
     /// inputs as the workspace config (sinks, fences, taint names,
     /// `metrics.toml` resolved against `root`), but everything is
-    /// trace-affecting, nothing is allow-listed, and no enums are
-    /// registered — callers fill in `proto_enums`.
+    /// trace-affecting, nothing is allow-listed, no use roots are read,
+    /// no enums are registered, and no file is public API — callers
+    /// fill in `proto_enums` and `api_dirs`.
     pub fn single_file(root: PathBuf, file: &str) -> Config {
         Config {
             scan_dirs: vec![file.to_string()],
@@ -234,6 +242,8 @@ impl Config {
             nondet_allow_files: Vec::new(),
             trace_affecting: vec![String::new()],
             proto_enums: Vec::new(),
+            api_dirs: Vec::new(),
+            use_roots: Vec::new(),
             ..Config::workspace(root)
         }
     }

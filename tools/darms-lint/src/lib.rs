@@ -19,7 +19,9 @@
 //! - `nondet-taint` — waived nondeterminism flowing into trace/metric
 //!   sinks through bindings and calls;
 //! - `name-registry` — metric/trace names not declared in
-//!   `metrics.toml` (with near-miss suggestions).
+//!   `metrics.toml` (with near-miss suggestions);
+//! - `dead-api` — bare-`pub` fns, consts and statics of the library
+//!   crates that nothing uses outside their own file's tests.
 //!
 //! Sites can be waived with
 //! `// darms-lint: allow(<rule>, reason = "...")`; a waiver without a
@@ -39,6 +41,7 @@ pub mod parser;
 pub mod registry;
 pub mod waiver;
 pub mod rules {
+    pub mod deadapi;
     pub mod guard;
     pub mod names;
     pub mod nondet;
@@ -100,9 +103,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn collect_files(cfg: &Config) -> std::io::Result<Vec<FileData>> {
+fn collect_files(cfg: &Config, dirs: &[String]) -> std::io::Result<Vec<FileData>> {
     let mut paths = Vec::new();
-    for d in &cfg.scan_dirs {
+    for d in dirs {
         let p = cfg.root.join(d);
         if p.is_file() {
             paths.push(p);
@@ -126,12 +129,17 @@ fn collect_files(cfg: &Config) -> std::io::Result<Vec<FileData>> {
 /// Collect and parse the scan set without running any rules. Used by
 /// the `graph` subcommand and the parse-coverage gate.
 pub fn load_files(cfg: &Config) -> std::io::Result<Vec<FileData>> {
-    collect_files(cfg)
+    collect_files(cfg, &cfg.scan_dirs)
+}
+
+/// Collect and parse the `dead-api` use roots (`Config::use_roots`).
+pub fn load_use_roots(cfg: &Config) -> std::io::Result<Vec<FileData>> {
+    collect_files(cfg, &cfg.use_roots)
 }
 
 /// Run the full lint over `cfg`.
 pub fn run(cfg: &Config) -> std::io::Result<LintReport> {
-    let files = collect_files(cfg)?;
+    let files = load_files(cfg)?;
     let mut findings = Vec::new();
     let mut waivers = Vec::new();
     for f in &files {
@@ -155,6 +163,7 @@ pub fn run(cfg: &Config) -> std::io::Result<LintReport> {
     findings.extend(rules::protoflow::check(cfg, &files));
     findings.extend(rules::taint::check(cfg, &files));
     findings.extend(rules::names::check(cfg, &files));
+    findings.extend(rules::deadapi::check(cfg, &files, &load_use_roots(cfg)?));
     let mut findings = waiver::apply(findings, &waivers);
     findings.sort();
     findings.dedup();

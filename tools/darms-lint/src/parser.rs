@@ -330,11 +330,16 @@ impl<'a> Parser<'a> {
         out
     }
 
-    /// Skip `pub` / `pub(crate)` / `pub(in path)`.
-    fn visibility(&mut self) {
-        if self.eat_ident("pub") && self.at_punct("(") {
-            self.skip_group();
+    /// Skip `pub` / `pub(crate)` / `pub(in path)`; true for a bare `pub`.
+    fn visibility(&mut self) -> bool {
+        if !self.eat_ident("pub") {
+            return false;
         }
+        if self.at_punct("(") {
+            self.skip_group();
+            return false;
+        }
+        true
     }
 
     // ----- items --------------------------------------------------------
@@ -348,7 +353,7 @@ impl<'a> Parser<'a> {
             }
             return None;
         }
-        self.visibility();
+        let is_pub = self.visibility();
         let line = self.line();
 
         // Leading modifiers.
@@ -378,7 +383,7 @@ impl<'a> Parser<'a> {
         }
 
         if self.at_ident("fn") {
-            return Some(Item::Fn(self.fn_item(is_async, line, attrs)));
+            return Some(Item::Fn(self.fn_item(is_pub, is_async, line, attrs)));
         }
         if self.at_ident("enum") {
             return Some(self.enum_item(line, attrs));
@@ -392,7 +397,7 @@ impl<'a> Parser<'a> {
         if (self.at_ident("const") || self.at_ident("static"))
             && self.nth(1).is_some_and(|t| t.kind == TokKind::Ident && !t.is_ident("fn"))
         {
-            return Some(self.const_item(line, attrs));
+            return Some(self.const_item(is_pub, line, attrs));
         }
         if self.at_ident("struct") || self.at_ident("union") {
             return Some(self.struct_item(line, attrs));
@@ -403,6 +408,7 @@ impl<'a> Parser<'a> {
             return Some(Item::Other(OtherItem {
                 kw,
                 fields: Vec::new(),
+                macro_idents: Vec::new(),
                 line,
                 end_line: self.prev_line(),
                 attrs,
@@ -424,6 +430,7 @@ impl<'a> Parser<'a> {
             return Some(Item::Other(OtherItem {
                 kw: "extern".into(),
                 fields: Vec::new(),
+                macro_idents: Vec::new(),
                 line,
                 end_line: self.prev_line(),
                 attrs,
@@ -437,10 +444,11 @@ impl<'a> Parser<'a> {
             if self.cur().is_some_and(|t| t.kind == TokKind::Ident) {
                 self.i += 1;
             }
-            self.skip_group();
+            let macro_idents = self.skip_macro_body();
             return Some(Item::Other(OtherItem {
                 kw: "macro_rules".into(),
                 fields: Vec::new(),
+                macro_idents,
                 line,
                 end_line: self.prev_line(),
                 attrs,
@@ -459,11 +467,12 @@ impl<'a> Parser<'a> {
                 }
             }
             if self.eat_punct("!") {
-                self.skip_group();
+                let macro_idents = self.skip_macro_body();
                 self.eat_punct(";");
                 return Some(Item::Other(OtherItem {
                     kw: "macro".into(),
                     fields: Vec::new(),
+                    macro_idents,
                     line,
                     end_line: self.prev_line(),
                     attrs,
@@ -475,7 +484,22 @@ impl<'a> Parser<'a> {
         let got = self.cur().map(|t| t.text.clone()).unwrap_or_default();
         self.err(&format!("unexpected token `{got}` at item position"));
         self.i += 1;
-        Some(Item::Other(OtherItem { kw: got, fields: Vec::new(), line, end_line: line, attrs }))
+        Some(Item::Other(OtherItem {
+            kw: got,
+            fields: Vec::new(),
+            macro_idents: Vec::new(),
+            line,
+            end_line: line,
+            attrs,
+        }))
+    }
+
+    /// Skip a macro body group, returning the identifiers inside it.
+    fn skip_macro_body(&mut self) -> Vec<String> {
+        let lo = self.i;
+        self.skip_group();
+        let body = &self.t[lo..self.i];
+        body.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.clone()).collect()
     }
 
     fn skip_to_semi(&mut self) {
@@ -495,7 +519,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn fn_item(&mut self, is_async: bool, line: u32, attrs: Attrs) -> FnItem {
+    fn fn_item(&mut self, is_pub: bool, is_async: bool, line: u32, attrs: Attrs) -> FnItem {
         self.eat_ident("fn");
         let name = self
             .cur()
@@ -571,7 +595,7 @@ impl<'a> Parser<'a> {
             self.eat_punct(";");
             None
         };
-        FnItem { name, is_async, params, body, line, end_line: self.prev_line(), attrs }
+        FnItem { name, is_pub, is_async, params, body, line, end_line: self.prev_line(), attrs }
     }
 
     fn enum_item(&mut self, line: u32, attrs: Attrs) -> Item {
@@ -684,7 +708,7 @@ impl<'a> Parser<'a> {
         Item::Container(ContainerItem { kind, header, items, line, attrs })
     }
 
-    fn const_item(&mut self, line: u32, attrs: Attrs) -> Item {
+    fn const_item(&mut self, is_pub: bool, line: u32, attrs: Attrs) -> Item {
         self.i += 1; // const | static
         self.eat_ident("mut");
         let name = self
@@ -698,7 +722,7 @@ impl<'a> Parser<'a> {
         let ty = self.eat_punct(":").then(|| self.type_text(&["=", ";"]));
         let init = if self.eat_punct("=") { Some(self.expr(false)) } else { None };
         self.eat_punct(";");
-        Item::Const(ConstItem { name, ty, init, line, attrs })
+        Item::Const(ConstItem { name, is_pub, ty, init, line, attrs })
     }
 
     fn struct_item(&mut self, line: u32, attrs: Attrs) -> Item {
@@ -725,7 +749,14 @@ impl<'a> Parser<'a> {
         } else {
             self.eat_punct(";");
         }
-        Item::Other(OtherItem { kw, fields, line, end_line: self.prev_line(), attrs })
+        Item::Other(OtherItem {
+            kw,
+            fields,
+            macro_idents: Vec::new(),
+            line,
+            end_line: self.prev_line(),
+            attrs,
+        })
     }
 
     // ----- blocks & statements ------------------------------------------

@@ -23,6 +23,7 @@ pub const KNOWN_RULES: &[&str] = &[
     "proto-flow",
     "nondet-taint",
     "name-registry",
+    "dead-api",
 ];
 
 #[derive(Debug, Clone)]

@@ -35,7 +35,11 @@ fn fixture_config(file: &str, proto: Option<&str>, flow: Option<&str>) -> Config
 }
 
 fn lint_fixture(file: &str, proto: Option<&str>, flow: Option<&str>) -> String {
-    let report = darms_lint::run(&fixture_config(file, proto, flow)).expect("fixture lint run");
+    lint_with(file, &fixture_config(file, proto, flow))
+}
+
+fn lint_with(file: &str, cfg: &Config) -> String {
+    let report = darms_lint::run(cfg).expect("fixture lint run");
     assert_eq!(report.files_scanned, 1, "fixture {file} not found");
     findings_to_json(&report.findings)
 }
@@ -45,7 +49,10 @@ fn assert_snapshot(file: &str, proto: Option<&str>) {
 }
 
 fn assert_snapshot_flow(file: &str, proto: Option<&str>, flow: Option<&str>) {
-    let actual = lint_fixture(file, proto, flow);
+    check_snapshot(file, &lint_fixture(file, proto, flow));
+}
+
+fn check_snapshot(file: &str, actual: &str) {
     let expected_path =
         fixtures_root().join(format!("{}.expected.json", file.trim_end_matches(".rs")));
     // `DARMS_LINT_BLESS=1 cargo test -p darms-lint` rewrites the
@@ -126,6 +133,25 @@ fn bad_names_matches_snapshot() {
 #[test]
 fn bad_livelock_matches_snapshot() {
     assert_snapshot("bad_livelock.rs", None);
+}
+
+/// `dead-api` runs only where `api_dirs` reaches, so its pair is
+/// linted with the fixture registered as a library source.
+fn lint_api_fixture(file: &str) -> String {
+    let mut cfg = fixture_config(file, None, None);
+    cfg.api_dirs = vec![String::new()];
+    lint_with(file, &cfg)
+}
+
+#[test]
+fn bad_dead_api_matches_snapshot() {
+    check_snapshot("bad_dead_api.rs", &lint_api_fixture("bad_dead_api.rs"));
+}
+
+#[test]
+fn good_dead_api_is_clean() {
+    let json = lint_api_fixture("good_dead_api.rs");
+    assert_eq!(json, "[\n]", "good_dead_api.rs should lint clean, got: {json}");
 }
 
 #[test]

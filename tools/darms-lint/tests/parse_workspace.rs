@@ -3,7 +3,9 @@
 //! here means a Rust construct landed in the tree that the
 //! recursive-descent parser does not model yet; teach the parser
 //! rather than waiving, since every AST-based rule silently degrades
-//! on files it cannot parse.
+//! on files it cannot parse. The `dead-api` use roots (`perfbench/`)
+//! are held to the same bar: a use the parser drops there would make
+//! live API look dead.
 
 use std::path::Path;
 
@@ -17,14 +19,22 @@ fn workspace_parses_with_zero_errors() {
         .expect("workspace root")
         .to_path_buf();
     assert!(root.join("Cargo.toml").is_file(), "bad workspace root {}", root.display());
-    let files = darms_lint::load_files(&Config::workspace(root)).expect("workspace scan");
+    let cfg = Config::workspace(root);
+    let files = darms_lint::load_files(&cfg).expect("workspace scan");
     assert!(
         files.len() > 50,
         "suspiciously few files scanned ({}) — scan dirs misconfigured?",
         files.len()
     );
+    let roots = darms_lint::load_use_roots(&cfg).expect("use-root scan");
+    for dir in &cfg.use_roots {
+        assert!(
+            roots.iter().any(|f| f.rel.starts_with(&format!("{dir}/"))),
+            "no file read under use root {dir}"
+        );
+    }
     let mut errors = Vec::new();
-    for f in &files {
+    for f in files.iter().chain(&roots) {
         for e in &f.ast.errors {
             errors.push(format!("{}:{}: {}", f.rel, e.line, e.msg));
         }
