@@ -66,17 +66,13 @@ impl TaskComm {
     pub async fn establish(jc: &JobCtx) -> TaskComm {
         let n = jc.compute.len();
         let my_addr = jc.net.bind_auto(jc.host, jc.proc.endpoint());
-        jc.fs.write(jc.job, Self::addr_file(jc.node_index), encode_addr(my_addr));
+        let woken = jc.fs.write(jc.job, Self::addr_file(jc.node_index), encode_addr(my_addr));
+        jc.proc.wake_pollers(woken);
         let poll = SimDuration::from_millis(1);
         let mut peers = Vec::with_capacity(n);
         for i in 0..n {
-            loop {
-                if let Some(s) = jc.fs.read(jc.job, &Self::addr_file(i)) {
-                    peers.push(decode_addr(&s));
-                    break;
-                }
-                jc.proc.sleep(poll).await;
-            }
+            let addr = jc.fs.wait_for(&jc.proc, jc.job, &Self::addr_file(i), poll).await;
+            peers.push(decode_addr(&addr));
         }
         TaskComm { me: jc.node_index, peers }
     }

@@ -17,7 +17,9 @@ pub struct DacCostModel {
     /// context initialisation vary run to run on real nodes; this is the
     /// trial-to-trial variance visible in the paper's averaged bars).
     pub startup_jitter: f64,
-    /// Interval at which `AC_Init()` polls for the port file.
+    /// Interval at which `AC_Init()` polls for the port file: it sees
+    /// the file at the first tick after the daemon root writes it. The
+    /// wait itself costs no events (`Proc::poll_until`).
     pub port_poll: SimDuration,
     /// Daemon-side handling of one computation request.
     pub request_overhead: SimDuration,

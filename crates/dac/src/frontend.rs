@@ -179,12 +179,7 @@ impl AcSession {
         // Wait for the port file the daemon root publishes once every
         // daemon of the set is up (the paper's port-information file).
         let port_file = PseudoFs::ac_port_file(jc.node_index);
-        let port = loop {
-            if let Some(p) = dac.fs.read(jc.job, &port_file) {
-                break p;
-            }
-            jc.proc.sleep(dac.cost.port_poll).await;
-        };
+        let port = dac.fs.wait_for(&jc.proc, jc.job, &port_file, dac.cost.port_poll).await;
         let t1 = jc.proc.now();
         let self_comm = session.mpi.self_comm();
         let inter = session.mpi.comm_connect(&port, self_comm).await.expect("AC_Init connect");
@@ -713,7 +708,8 @@ impl AcSession {
         // released slice set may have left on the same host.
         for (i, acc) in accs.iter().enumerate() {
             let slice = slices.get(i).copied().unwrap_or(0);
-            self.dac.fs.write(self.job, slice_file(acc.index()), slice.to_string());
+            let woken = self.dac.fs.write(self.job, slice_file(acc.index()), slice.to_string());
+            self.mpi.proc().wake_pollers(woken);
         }
         let local = match self.comm {
             Some(c) => {

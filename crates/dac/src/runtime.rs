@@ -275,7 +275,8 @@ async fn daemon_main(mut mpi: MpiProc, dac: DacRuntime, args: Vec<String>) {
             mpi.barrier(world).await.expect("daemon world barrier");
             let merged = if world.rank() == 0 {
                 let port = mpi.open_port();
-                dac.fs.write(job, PseudoFs::ac_port_file(cn_index), port.clone());
+                let woken = dac.fs.write(job, PseudoFs::ac_port_file(cn_index), port.clone());
+                mpi.proc().wake_pollers(woken);
                 let inter = mpi.comm_accept(&port, world).await.expect("daemon accept");
                 mpi.close_port(&port);
                 let merged = mpi.intercomm_merge(inter, true).await.expect("daemon merge");

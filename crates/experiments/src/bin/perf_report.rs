@@ -31,9 +31,9 @@
 //!    scale, plus the 10k-vs-1k per-event wall ratio that proves no
 //!    O(hosts) work is left on a per-event path.
 //! 8. **volume** — the same scenario at 1k hosts, seed 42, with 500,
-//!    1000, 2000 and 3000 jobs: event count, network message count and
-//!    ns/event per volume, so per-event cost that grows with job volume
-//!    shows up.
+//!    1000, 2000 and 3000 jobs: event, network message and
+//!    process-resume (context switch) counts and ns/event per volume, so
+//!    per-event cost that grows with job volume shows up.
 //!
 //! `--swf-jobs` / `--fig8-load` override the historical 120-job and
 //! load-16 defaults — they are defaults, not ceilings. `--smoke`
@@ -44,9 +44,9 @@
 //! datacenter@1k events/sec against a committed `BENCH_sim.json` and
 //! exits non-zero on a regression of more than 20% in either, and
 //! fails on **any** soak invariant violation, or when a job-volume
-//! cell's event or message count differs at all from the baseline (both
-//! are deterministic; the volume cells' ns/event is reported, not
-//! gated) —
+//! cell's event, message or context-switch count differs at all from
+//! the baseline (all three are deterministic; the volume cells'
+//! ns/event is reported, not gated) —
 //! this is what `make bench-check` (part of `make verify`) runs.
 
 use std::fmt::Write as _;
@@ -105,6 +105,26 @@ fn spawn_churn_once(procs: u32) -> (u64, f64, u32) {
     (stats.events, stats.wall_secs(), procs)
 }
 
+/// One `volume` cell: the datacenter scenario at one job count.
+struct VolumeCell {
+    jobs: usize,
+    events: u64,
+    messages: u64,
+    context_switches: u64,
+    ns_per_event: f64,
+}
+
+impl VolumeCell {
+    /// The exact, gated counts, by their `BENCH_sim.json` key prefix.
+    fn counts(&self) -> [(&'static str, u64); 3] {
+        [
+            ("events", self.events),
+            ("messages", self.messages),
+            ("context_switches", self.context_switches),
+        ]
+    }
+}
+
 struct Macro {
     events: u64,
     virtual_secs: f64,
@@ -132,22 +152,67 @@ impl Macro {
     }
 }
 
-/// Pull one numeric field out of a committed `BENCH_sim.json` without a
-/// JSON dependency: the harness writes each top-level object on a
-/// single line, so a (row, key) substring scan is exact.
+/// Pull one numeric field out of a committed `BENCH_sim.json`.
 fn baseline_field(path: &str, row: &str, key: &str) -> f64 {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("--check: cannot read baseline {path}: {e}"));
-    let row_tag = format!("\"{row}\"");
-    let line = text
-        .lines()
-        .find(|l| l.contains(&row_tag))
-        .unwrap_or_else(|| panic!("--check: no {row_tag} entry in {path}"));
-    let key_tag = format!("\"{key}\": ");
-    let at = line.find(&key_tag).unwrap_or_else(|| panic!("--check: no {key} in {path}"));
-    let rest = &line[at + key_tag.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().unwrap_or_else(|e| panic!("--check: bad {key} in {path}: {e}"))
+    json_field(&text, row, key).unwrap_or_else(|e| panic!("--check: {e} in {path}"))
+}
+
+/// The number at `key` directly inside the object at `row` of the
+/// top-level JSON object in `text`. A scanner that tracks strings and
+/// nesting instead of a JSON dependency, so any whitespace and line
+/// layout reads the same, and a key of a nested object or a string
+/// value that looks like a key never matches.
+fn json_field(text: &str, row: &str, key: &str) -> Result<f64, String> {
+    let b = text.as_bytes();
+    let skip_ws = |mut j: usize| {
+        while b.get(j).is_some_and(u8::is_ascii_whitespace) {
+            j += 1;
+        }
+        j
+    };
+    let (mut depth, mut in_row, mut saw_row) = (0usize, false, false);
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                let mut end = i + 1;
+                while end < b.len() && b[end] != b'"' {
+                    end += if b[end] == b'\\' { 2 } else { 1 };
+                }
+                let name = text.get(i + 1..end).ok_or("unterminated string")?;
+                let colon = skip_ws(end + 1);
+                i = end + 1;
+                if b.get(colon) != Some(&b':') {
+                    continue; // a string value, not a key
+                }
+                let value = skip_ws(colon + 1);
+                if depth == 1 && name == row && b.get(value) == Some(&b'{') {
+                    (in_row, saw_row) = (true, true);
+                } else if in_row && depth == 2 && name == key {
+                    let len = b[value..]
+                        .iter()
+                        .position(|c| matches!(c, b',' | b'}' | b']') || c.is_ascii_whitespace())
+                        .unwrap_or(b.len() - value);
+                    let num = &text[value..value + len];
+                    return num.parse().map_err(|e| format!("bad {row}.{key} {num:?}: {e}"));
+                }
+                i = value;
+            }
+            b'{' | b'[' => {
+                depth += 1;
+                i += 1;
+            }
+            b'}' | b']' => {
+                depth = depth.saturating_sub(1);
+                in_row &= depth >= 2;
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+    Err(if saw_row { format!("no {key} in the {row:?} row") } else { format!("no {row:?} row") })
 }
 
 fn main() {
@@ -382,21 +447,28 @@ fn main() {
     };
 
     // 9. Job volume at 1k hosts: identical in smoke and full mode. The
-    // event and message counts are exact; ns/event is one wall sample
-    // per cell.
-    let volume: Vec<(usize, u64, u64, f64)> = VOLUMES
+    // event, message and context-switch counts are exact; ns/event is
+    // one wall sample per cell.
+    let volume: Vec<VolumeCell> = VOLUMES
         .iter()
         .map(|&jobs| {
             let cfg = DatacenterConfig { jobs, ..DatacenterConfig::at_scale(1_000, 42) };
             let t0 = Instant::now();
             let o = datacenter::run_datacenter(&cfg);
             let ns_per_event = t0.elapsed().as_secs_f64() * 1e9 / o.stats.events as f64;
+            let cell = VolumeCell {
+                jobs,
+                events: o.stats.events,
+                messages: o.messages,
+                context_switches: o.stats.context_switches,
+                ns_per_event,
+            };
             println!(
                 "  volume (1k hosts, {jobs} jobs): {} events, {} messages, \
-                 {ns_per_event:.0} ns/event",
-                o.stats.events, o.messages
+                 {} context switches, {ns_per_event:.0} ns/event",
+                cell.events, cell.messages, cell.context_switches
             );
-            (jobs, o.stats.events, o.messages, ns_per_event)
+            cell
         })
         .collect();
 
@@ -488,11 +560,10 @@ fn main() {
     json.push_str(&dc_row);
     let volume_cells = volume
         .iter()
-        .map(|(jobs, events, messages, ns)| {
-            format!(
-                "\"events_{jobs}\": {events}, \"messages_{jobs}\": {messages}, \
-                 \"ns_per_event_{jobs}\": {ns:.0}"
-            )
+        .map(|c| {
+            let jobs = c.jobs;
+            let counts = c.counts().map(|(what, n)| format!("\"{what}_{jobs}\": {n}, "));
+            format!("{}\"ns_per_event_{jobs}\": {:.0}", counts.concat(), c.ns_per_event)
         })
         .collect::<Vec<_>>()
         .join(", ");
@@ -542,12 +613,13 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // Job-volume event and message counts are deterministic: any
-        // difference is a behaviour change, not noise.
-        for (jobs, events, messages, _) in &volume {
-            for (what, n) in [("events", events), ("messages", messages)] {
+        // Job-volume counts are deterministic: any difference is a
+        // behaviour change, not noise.
+        for c in &volume {
+            let jobs = c.jobs;
+            for (what, n) in c.counts() {
                 let base = baseline_field(&baseline, "volume", &format!("{what}_{jobs}"));
-                if *n as f64 != base {
+                if n as f64 != base {
                     eprintln!(
                         "bench-check FAILED: volume@{jobs} jobs ran {n} {what}, the committed \
                          baseline {base} ({baseline})"
@@ -557,10 +629,76 @@ fn main() {
             }
         }
         println!(
-            "bench-check ok: volume event and message counts match the baseline, \
+            "bench-check ok: volume event, message and context-switch counts match the \
+             baseline, \
              pingpong {pp_eps:.0} events/sec >= 80% of baseline {base_eps:.0}, \
              datacenter@1k {dc1_eps:.0} >= 80% of {base_dc:.0}, soak matrix clean, \
              fabric dispatch p99 within 20% of baseline for every class"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_field;
+
+    /// The committed layout: one row per line, `"key": value` spacing.
+    const COMMITTED: &str = r#"{
+  "schema": 1,
+  "pingpong": {"round_trips": 200000, "events_per_sec": 15411980},
+  "fig8": {"trials": 5, "load": 16, "events":11095,"events_per_sec":2875875},
+  "soak": {"cells": 27, "qsub_to_run": {"fault_free": {"count": 77}}},
+  "volume": {"hosts": 1000, "events_500": 44474, "messages_500": 18348}
+}"#;
+
+    #[test]
+    fn reads_the_committed_layout() {
+        assert_eq!(json_field(COMMITTED, "pingpong", "events_per_sec"), Ok(15411980.0));
+        assert_eq!(json_field(COMMITTED, "fig8", "events"), Ok(11095.0));
+        assert_eq!(json_field(COMMITTED, "fig8", "events_per_sec"), Ok(2875875.0));
+        assert_eq!(json_field(COMMITTED, "volume", "messages_500"), Ok(18348.0));
+    }
+
+    /// The same data re-serialised with `indent=2` (one key per line)
+    /// and compactly (`"key":value`, no whitespace at all).
+    #[test]
+    fn reads_any_whitespace_and_line_layout() {
+        let indented = r#"{
+  "schema": 1,
+  "pingpong": {
+    "round_trips": 200000,
+    "events_per_sec": 15411980
+  },
+  "fig8": {
+    "trials": 5,
+    "events": 11095
+  },
+  "volume": {
+    "hosts": 1000,
+    "events_500": 44474,
+    "messages_500": 18348
+  }
+}"#;
+        let compact = r#"{"schema":1,"pingpong":{"round_trips":200000,"events_per_sec":15411980},"fig8":{"trials":5,"events":11095},"volume":{"hosts":1000,"events_500":44474,"messages_500":18348}}"#;
+        for text in [indented, compact] {
+            assert_eq!(json_field(text, "pingpong", "events_per_sec"), Ok(15411980.0));
+            assert_eq!(json_field(text, "fig8", "events"), Ok(11095.0));
+            assert_eq!(json_field(text, "volume", "events_500"), Ok(44474.0));
+            assert_eq!(json_field(text, "volume", "messages_500"), Ok(18348.0));
+        }
+    }
+
+    /// Only a key directly inside the named top-level row matches: not
+    /// a nested key, not the same key in another row, not a string
+    /// value that spells the key.
+    #[test]
+    fn matches_only_direct_keys_of_the_row() {
+        let text = r#"{"a": {"note": "count", "inner": {"count": 1}}, "b": {"count": 2}}"#;
+        assert_eq!(json_field(text, "b", "count"), Ok(2.0));
+        assert!(json_field(text, "a", "count").is_err());
+        assert!(json_field(COMMITTED, "soak", "count").is_err());
+        assert!(json_field(COMMITTED, "nope", "events").is_err());
+        assert!(json_field(COMMITTED, "fig8", "nope").is_err());
+        assert!(json_field(r#"{"a": {"x": "1"}}"#, "a", "x").is_err());
     }
 }

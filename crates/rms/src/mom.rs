@@ -336,7 +336,8 @@ impl PbsMom {
             .map(|h| format!("host{}", h.index()))
             .collect::<Vec<_>>()
             .join("\n");
-        self.fs.write(job, files::NODEFILE, nodefile);
+        let woken = self.fs.write(job, files::NODEFILE, nodefile);
+        ctx.wake_pollers(woken);
         if let Some(starter) = self.starter.clone() {
             for (i, accs) in launch.accs.iter().enumerate() {
                 if accs.is_empty() {

@@ -395,6 +395,66 @@ impl FreeTracker {
     pub fn fits(&self, job: &QueuedJobSnap) -> bool {
         self.fitting_count(job.ppn) >= job.nodes && self.accs.len() >= job.nodes * job.acpn as usize
     }
+
+    /// A give-back view of this tracker for jobs of `ppn` cores per
+    /// node (the EASY shadow simulation).
+    pub(crate) fn give_back_view(&self, ppn: u32) -> GiveBackView<'_> {
+        GiveBackView {
+            base: self,
+            ppn,
+            fitting: self.fitting_count(ppn),
+            free_accs: self.accs.len(),
+            cores: BTreeMap::new(),
+            returned_accs: BTreeSet::new(),
+        }
+    }
+}
+
+/// What [`FreeTracker::fits`] would answer for one `ppn` after a series
+/// of [`FreeTracker::give_back`] calls on a clone, counted on top of the
+/// unchanged tracker: the number of compute hosts with at least `ppn`
+/// free cores and the number of free accelerators. Costs O(hosts given
+/// back) instead of a clone of the whole tracker.
+pub(crate) struct GiveBackView<'a> {
+    base: &'a FreeTracker,
+    ppn: u32,
+    fitting: usize,
+    free_accs: usize,
+    /// Free cores of every compute slot given back to so far.
+    cores: BTreeMap<usize, u32>,
+    /// Accelerators given back that the tracker's pool lacks.
+    returned_accs: BTreeSet<HostId>,
+}
+
+impl GiveBackView<'_> {
+    /// [`FreeTracker::give_back`], counted.
+    pub(crate) fn give_back(&mut self, compute_hosts: &[HostId], ppn: u32, accs: &[HostId]) {
+        let base = self.base;
+        for h in compute_hosts {
+            let Some(&i) = base.index.get(h) else { continue };
+            if base.offline[i] {
+                continue;
+            }
+            let (_, base_free, total) = base.compute[i];
+            let free = self.cores.entry(i).or_insert(base_free);
+            let new = (*free + ppn).min(total);
+            if *free < self.ppn && new >= self.ppn {
+                self.fitting += 1;
+            }
+            *free = new;
+        }
+        for h in accs {
+            if !base.acc_set.contains(h) && self.returned_accs.insert(*h) {
+                self.free_accs += 1;
+            }
+        }
+    }
+
+    /// [`FreeTracker::fits`] for a job of this view's `ppn`.
+    pub(crate) fn fits(&self, job: &QueuedJobSnap) -> bool {
+        debug_assert_eq!(job.ppn, self.ppn, "view built for another ppn");
+        self.fitting >= job.nodes && self.free_accs >= job.nodes * job.acpn as usize
+    }
 }
 
 /// The pre-index linear-scan tracker, kept verbatim as the behavioral

@@ -10,7 +10,8 @@ use crate::alloc::FreeTracker;
 /// The earliest time the blocked job is guaranteed to fit, assuming every
 /// running job releases its resources at its walltime estimate. Returns
 /// `None` if the job would not fit even on an empty cluster (it can never
-/// start; no reservation is made).
+/// start; no reservation is made). The give-backs are counted on a view
+/// of `tracker`, not applied to a clone of it.
 pub fn shadow_time<'a>(
     blocked: &QueuedJobSnap,
     tracker: &FreeTracker,
@@ -20,7 +21,7 @@ pub fn shadow_time<'a>(
     if tracker.fits(blocked) {
         return Some(now);
     }
-    let mut future = tracker.clone();
+    let mut future = tracker.give_back_view(blocked.ppn);
     let mut ends: Vec<(&RunningJobSnap, SimTime)> =
         running.into_iter().map(|r| (r, r.started + r.walltime_estimate)).collect();
     ends.sort_by_key(|(r, t)| (*t, r.job));

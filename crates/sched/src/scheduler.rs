@@ -7,6 +7,12 @@
 //! modelled scheduling cost. A dynamic request arriving mid-iteration is
 //! therefore serviced only after the iteration completes — exactly the
 //! waiting the paper measures in Fig. 8.
+//!
+//! Only items that act — a start, a grant, a reject or a retry — get a
+//! timer at their decision instant. A queued job that will not start is
+//! decided inline, at the instant its step would have fired, so queue
+//! depth costs no idle events while every decision time and the
+//! iteration's end time stay those of one step per item.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -128,6 +134,18 @@ impl Default for SchedConfig {
 enum WorkItem {
     Dyn(DynPendingSnap),
     Job(QueuedJobSnap),
+}
+
+/// What examining a static job at a given instant does.
+#[derive(PartialEq, Eq, Clone, Copy, Debug)]
+enum Verdict {
+    /// It starts.
+    Start,
+    /// It is the first job that cannot start: it sets the backfill
+    /// shadow (or blocks a strict queue).
+    Reserve,
+    /// Nothing: the queue is blocked, or it may not backfill.
+    Pass,
 }
 
 #[derive(PartialEq, Eq, Clone, Copy, Debug)]
@@ -328,20 +346,7 @@ impl MauiScheduler {
         metrics.observe("sched.queue_depth", self.worklist.len() as f64);
         let me = ctx.me();
         ctx.tracer().span_begin(now, TraceSource::Actor(me), "maui", "sched.iteration");
-        match self.worklist.front() {
-            Some(first) => {
-                let delay = self.config.iteration_overhead + self.item_cost(first);
-                ctx.set_timer(delay, TOKEN_STEP);
-            }
-            None => {
-                let overhead = self.config.iteration_overhead;
-                if overhead.is_zero() {
-                    self.finish_iteration(ctx);
-                } else {
-                    ctx.set_timer(overhead, TOKEN_STEP);
-                }
-            }
-        }
+        self.arm_next(ctx, now + self.config.iteration_overhead);
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
@@ -351,12 +356,78 @@ impl MauiScheduler {
         if let Some(item) = self.worklist.pop_front() {
             self.process_item(ctx, item);
         }
-        match self.worklist.front() {
-            Some(next) => {
-                let delay = self.item_cost(next);
-                ctx.set_timer(delay, TOKEN_STEP);
+        self.arm_next(ctx, ctx.now());
+    }
+
+    /// Walk the worklist from `from`, the instant the previous item (or
+    /// the iteration overhead) finished, and arm `TOKEN_STEP` for the
+    /// next item that acts, or for the iteration's end. A job that will
+    /// not start is decided here at its would-be instant, `from` plus
+    /// the item costs walked so far. Nothing outside this actor reads
+    /// the shadow or the block before the next step fires, so deciding
+    /// early changes no decision and no time.
+    fn arm_next(&mut self, ctx: &mut Ctx<'_>, from: SimTime) {
+        let now = ctx.now();
+        let mut at = from;
+        let mut walked = false;
+        while let Some(item) = self.worklist.pop_front() {
+            let due = at + self.item_cost(&item);
+            let acts = match &item {
+                WorkItem::Dyn(_) => true,
+                WorkItem::Job(j) => match self.job_verdict(j, due) {
+                    Verdict::Start => true,
+                    Verdict::Reserve => {
+                        self.reserve(j, due);
+                        false
+                    }
+                    Verdict::Pass => false,
+                },
+            };
+            if acts {
+                self.worklist.push_front(item);
+                ctx.set_timer(due - now, TOKEN_STEP);
+                return;
             }
-            None => self.finish_iteration(ctx),
+            at = due;
+            walked = true;
+        }
+        if at == now && !walked {
+            self.finish_iteration(ctx);
+        } else {
+            ctx.set_timer(at - now, TOKEN_STEP);
+        }
+    }
+
+    /// What examining static job `j` at `at` does, given the decisions
+    /// made so far this iteration.
+    fn job_verdict(&self, j: &QueuedJobSnap, at: SimTime) -> Verdict {
+        let tracker = self.tracker.as_ref().expect("tracker set with worklist");
+        if self.blocked_no_backfill {
+            return Verdict::Pass; // strict queue: head is blocked
+        }
+        if let Some(shadow) = self.shadow {
+            if !may_backfill(j, tracker, shadow, at) {
+                return Verdict::Pass;
+            }
+        }
+        if tracker.fits(j) {
+            Verdict::Start
+        } else if self.shadow.is_none() {
+            Verdict::Reserve
+        } else {
+            Verdict::Pass
+        }
+    }
+
+    /// `j` is the first job this iteration that cannot start: reserve
+    /// for it (EASY shadow at `at`) or block the strict queue.
+    fn reserve(&mut self, j: &QueuedJobSnap, at: SimTime) {
+        if self.config.backfill {
+            let tracker = self.tracker.as_ref().expect("tracker set with worklist");
+            let running = self.running.values().chain(&self.iter_started);
+            self.shadow = shadow_time(j, tracker, running, at);
+        } else {
+            self.blocked_no_backfill = true;
         }
     }
 
@@ -466,51 +537,41 @@ impl MauiScheduler {
                 }
             }
             WorkItem::Job(j) => {
-                if self.blocked_no_backfill {
-                    return; // strict queue: head is blocked
-                }
-                if let Some(shadow) = self.shadow {
-                    if !may_backfill(&j, tracker, shadow, now) {
-                        return;
-                    }
-                }
-                let total_accs = j.nodes * j.acpn as usize;
-                let can = tracker.fits(&j);
-                if can {
-                    if self.shadow.is_some() {
-                        // Started under a shadow reservation: a backfill.
-                        ctx.metrics().counter_inc("sched.backfill_hits");
-                    }
-                    let compute = tracker
-                        .take_compute(j.nodes, j.ppn, self.config.allocation)
-                        .expect("fits() checked");
-                    let flat = tracker.take_accelerators(total_accs).expect("fits() checked");
-                    if self.config.incremental_snapshots {
-                        self.touched.extend(compute.iter().copied());
-                        self.touched.extend(flat.iter().copied());
-                    }
-                    let accs = split_accs(&flat, j.nodes, j.acpn);
-                    ctx.trace(format!("starting {} on {} node(s)", j.job, compute.len()));
-                    self.iter_started.push(RunningJobSnap {
-                        job: j.job,
-                        owner: j.owner.clone(),
-                        started: now,
-                        walltime_estimate: j.walltime_estimate,
-                        compute_hosts: compute.clone(),
-                        ppn: j.ppn,
-                        acc_hosts: flat.clone(),
-                    });
-                    self.send_server(ctx, RunJobCmd { job: j.job, compute, accs });
-                } else if self.shadow.is_none() {
-                    if self.config.backfill {
-                        let running = self.running.values().chain(&self.iter_started);
-                        self.shadow = shadow_time(&j, tracker, running, now);
-                    } else {
-                        self.blocked_no_backfill = true;
-                    }
-                }
+                // `arm_next` decided every other job inline.
+                debug_assert_eq!(self.job_verdict(&j, now), Verdict::Start);
+                self.start_job(ctx, j);
             }
         }
+    }
+
+    /// Start static job `j` now; [`Self::job_verdict`] said it fits.
+    fn start_job(&mut self, ctx: &mut Ctx<'_>, j: QueuedJobSnap) {
+        let now = ctx.now();
+        if self.shadow.is_some() {
+            // Started under a shadow reservation: a backfill.
+            ctx.metrics().counter_inc("sched.backfill_hits");
+        }
+        let tracker = self.tracker.as_mut().expect("tracker set with worklist");
+        let compute =
+            tracker.take_compute(j.nodes, j.ppn, self.config.allocation).expect("fits() checked");
+        let total_accs = j.nodes * j.acpn as usize;
+        let flat = tracker.take_accelerators(total_accs).expect("fits() checked");
+        if self.config.incremental_snapshots {
+            self.touched.extend(compute.iter().copied());
+            self.touched.extend(flat.iter().copied());
+        }
+        let accs = split_accs(&flat, j.nodes, j.acpn);
+        ctx.trace(format!("starting {} on {} node(s)", j.job, compute.len()));
+        self.iter_started.push(RunningJobSnap {
+            job: j.job,
+            owner: j.owner.clone(),
+            started: now,
+            walltime_estimate: j.walltime_estimate,
+            compute_hosts: compute.clone(),
+            ppn: j.ppn,
+            acc_hosts: flat.clone(),
+        });
+        self.send_server(ctx, RunJobCmd { job: j.job, compute, accs });
     }
 
     fn finish_iteration(&mut self, ctx: &mut Ctx<'_>) {
@@ -574,5 +635,135 @@ impl Actor for MauiScheduler {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use darms_net::{HostKind, LatencyModel};
+    use darms_rms::proto::{ClusterSnapshot, NodeSnap};
+    use darms_rms::NodeRole;
+    use darms_sim::{Endpoint, Engine};
+    use parking_lot::Mutex;
+
+    use super::*;
+
+    /// A server stand-in: wakes the scheduler once, answers its query
+    /// with `snap`, and logs every `RunJobCmd` with its arrival time.
+    struct FakeServer {
+        net: Network,
+        head: HostId,
+        snap: ClusterSnapshot,
+        started: Arc<Mutex<Vec<(JobId, SimTime)>>>,
+    }
+
+    impl Actor for FakeServer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.net.send_from_ctx(ctx, self.head, sched_addr(self.head), SchedWake, 0);
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
+            let env = match env.downcast::<ClusterQueryReq>() {
+                Ok(req) => {
+                    let resp = ClusterQueryResp {
+                        token: req.token,
+                        snapshot: self.snap.clone(),
+                        delta: false,
+                        running_gone: Vec::new(),
+                    };
+                    self.net.send_from_ctx(ctx, self.head, req.reply, resp, 0);
+                    return;
+                }
+                Err(e) => e,
+            };
+            let cmd = env.downcast::<RunJobCmd>().expect("only queries and starts");
+            self.started.lock().push((cmd.job, ctx.now()));
+        }
+    }
+
+    fn queued(id: u64, nodes: usize, wall_s: u64) -> QueuedJobSnap {
+        QueuedJobSnap {
+            job: JobId(id),
+            owner: "u".into(),
+            submitted: SimTime::from_nanos(id),
+            nodes,
+            ppn: 8,
+            acpn: 0,
+            walltime_estimate: SimDuration::from_secs(wall_s),
+        }
+    }
+
+    /// Four 8-core nodes, two held by a job ending at 100 s. The queue:
+    /// a 4-node head job (blocked; shadow at 100 s), then `wide` 3-node
+    /// jobs that never fit, with two short 1-node jobs among them that
+    /// backfill. One iteration must arm a timer for each start plus one
+    /// for its end (not one per job), and start the two backfills and
+    /// end exactly when a step per job would have.
+    #[test]
+    fn an_iteration_arms_a_timer_per_start_plus_its_end() {
+        let wide = 20u64;
+        let mut sim = Engine::with_seed(1);
+        let net = Network::new(LatencyModel::ideal(), 1);
+        let head = net.add_host("head", HostKind::Head);
+        let compute: Vec<HostId> =
+            (0..4).map(|i| net.add_host(format!("cn{i}"), HostKind::Compute)).collect();
+        let nodes = compute
+            .iter()
+            .enumerate()
+            .map(|(i, &host)| NodeSnap {
+                host,
+                role: NodeRole::Compute,
+                class: Default::default(),
+                cores_total: 8,
+                cores_free: if i < 2 { 0 } else { 8 },
+                offline: false,
+            })
+            .collect();
+        let running = vec![RunningJobSnap {
+            job: JobId(100),
+            owner: "u".into(),
+            started: SimTime::ZERO,
+            walltime_estimate: SimDuration::from_secs(100),
+            compute_hosts: compute[..2].to_vec(),
+            ppn: 8,
+            acc_hosts: Vec::new(),
+        }];
+        // Positions 0 (head), 6 and 13 (backfills); the rest are wide.
+        let mut queue = vec![queued(1, 4, 50)];
+        let backfill_at = [6u64, 13];
+        for pos in 1..wide + 3 {
+            let nodes = if backfill_at.contains(&pos) { 1 } else { 3 };
+            let wall = if nodes == 1 { 10 } else { 50 };
+            queue.push(queued(pos + 1, nodes, wall));
+        }
+        let snap = ClusterSnapshot { nodes, queued: queue, running, dyn_pending: None };
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let server = FakeServer { net: net.clone(), head, snap, started: started.clone() };
+        let server_id = sim.add_actor(Box::new(server));
+        net.bind(server_addr(head), Endpoint::Actor(server_id));
+        let config = SchedConfig {
+            policy: Policy::Fifo,
+            poll_interval: None,
+            ctl_bytes: 0,
+            ..SchedConfig::paper_testbed()
+        };
+        let (per_job, overhead) = (config.per_job_cost, config.iteration_overhead);
+        let sched_id = sim.add_actor(Box::new(MauiScheduler::new(net.clone(), head, config)));
+        net.bind(sched_addr(head), Endpoint::Actor(sched_id));
+        let stats = sim.run();
+
+        // Wake, query and snapshot each take one local hop.
+        let hop = LatencyModel::ideal().base_local;
+        let began = SimTime::ZERO + hop * 3;
+        let step = |pos: u64| began + overhead + per_job * (pos + 1);
+        let expected: Vec<(JobId, SimTime)> =
+            backfill_at.iter().map(|&pos| (JobId(pos + 1), step(pos) + hop)).collect();
+        assert_eq!(*started.lock(), expected);
+        assert_eq!(stats.end_time, step(wide + 2), "the iteration ends after its last job");
+        // Five messages (wake, query, snapshot, two starts) and three
+        // timers; a step per job would have taken 23 timers.
+        assert_eq!(stats.events, 5 + backfill_at.len() as u64 + 1);
     }
 }

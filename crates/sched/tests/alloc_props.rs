@@ -5,10 +5,11 @@
 //! decision downstream, so this is the load-bearing gate on the index.
 
 use darms_net::HostId;
-use darms_rms::proto::{ClusterSnapshot, DeviceClass, NodeSnap, QueuedJobSnap};
+use darms_rms::proto::{ClusterSnapshot, DeviceClass, NodeSnap, QueuedJobSnap, RunningJobSnap};
 use darms_rms::{JobId, NodeRole};
 use darms_sched::alloc::reference::LinearFreeTracker;
 use darms_sched::alloc::{AllocPolicy, FreeTracker};
+use darms_sched::backfill::shadow_time;
 use darms_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -92,8 +93,74 @@ fn job(nodes: usize, ppn: u32, acpn: u32) -> QueuedJobSnap {
     }
 }
 
+/// The EASY shadow computed by giving running jobs back to a clone of
+/// the tracker: the reference for [`shadow_time`]'s counting view.
+fn clone_shadow_time(
+    blocked: &QueuedJobSnap,
+    tracker: &FreeTracker,
+    running: &[RunningJobSnap],
+    now: SimTime,
+) -> Option<SimTime> {
+    if tracker.fits(blocked) {
+        return Some(now);
+    }
+    let mut future = tracker.clone();
+    let mut ends: Vec<(&RunningJobSnap, SimTime)> =
+        running.iter().map(|r| (r, r.started + r.walltime_estimate)).collect();
+    ends.sort_by_key(|(r, t)| (*t, r.job));
+    for (r, end) in ends {
+        future.give_back(&r.compute_hosts, r.ppn, &r.acc_hosts);
+        if future.fits(blocked) {
+            return Some(end.max(now));
+        }
+    }
+    None
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+    /// `shadow_time` counts give-backs on a view of the tracker instead
+    /// of cloning it; the reservation must equal the clone's for every
+    /// blocked shape, including running jobs that name a host twice,
+    /// offline or unknown hosts, and accelerators already free.
+    #[test]
+    fn shadow_view_matches_clone(
+        computes in prop::collection::vec(0u8..=0x7f, 1..16),
+        accs in prop::collection::vec(0u8..=0x7f, 0..10),
+        takes in prop::collection::vec((1usize..4, 0u32..10, 0usize..3), 0..6),
+        running in prop::collection::vec(
+            (prop::collection::vec(0usize..30, 0..5), 0u32..10, prop::collection::vec(0usize..30, 0..3), 0u64..400),
+            0..10,
+        ),
+        blocked in (1usize..6, 0u32..18, 0u32..3),
+        now in 0u64..300,
+    ) {
+        let mut tracker = FreeTracker::from_snapshot(&snapshot(&computes, &accs));
+        for (k, ppn, a) in takes {
+            let _ = tracker.take_compute(k, ppn, AllocPolicy::FirstFit);
+            let _ = tracker.take_accelerators(a);
+        }
+        let running: Vec<RunningJobSnap> = running
+            .into_iter()
+            .enumerate()
+            .map(|(i, (ch, ppn, ah, end))| RunningJobSnap {
+                job: JobId(i as u64),
+                owner: "prop".into(),
+                started: SimTime::ZERO,
+                walltime_estimate: SimDuration::from_secs(end),
+                compute_hosts: ch.into_iter().map(h).collect(),
+                ppn,
+                acc_hosts: ah.into_iter().map(h).collect(),
+            })
+            .collect();
+        let q = job(blocked.0, blocked.1, blocked.2);
+        let now = SimTime::ZERO + SimDuration::from_secs(now);
+        prop_assert_eq!(
+            shadow_time(&q, &tracker, &running, now),
+            clone_shadow_time(&q, &tracker, &running, now)
+        );
+    }
 
     /// Apply the same randomized op sequence to the indexed tracker and
     /// the linear reference; every return value must be identical.

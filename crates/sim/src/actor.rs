@@ -10,7 +10,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 
 use crate::envelope::{ActorId, Endpoint, Envelope, ProcessId};
-use crate::kernel::{EventKind, Kernel};
+use crate::kernel::{EventKind, Kernel, PollWaiter};
 use crate::process::spawn_process;
 use crate::time::{SimDuration, SimTime};
 
@@ -64,6 +64,12 @@ impl Ctx<'_> {
     /// Send a pre-built envelope.
     pub fn send_env(&mut self, dst: Endpoint, env: Envelope, delay: SimDuration) {
         self.k.send(dst, env, delay);
+    }
+
+    /// Wake processes parked in [`Proc::poll_until`](crate::Proc::poll_until)
+    /// on what this actor just published.
+    pub fn wake_pollers(&mut self, waiters: impl IntoIterator<Item = PollWaiter>) {
+        self.k.wake_pollers(waiters);
     }
 
     /// Schedule `on_timer(token)` after `delay`. The event is stamped

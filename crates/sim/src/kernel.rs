@@ -65,6 +65,39 @@ impl Ord for Scheduled {
     }
 }
 
+/// A process parked by [`Proc::poll_until`](crate::Proc::poll_until):
+/// the registration a publisher hands back to
+/// [`Proc::wake_pollers`](crate::Proc::wake_pollers) or
+/// [`Ctx::wake_pollers`](crate::Ctx::wake_pollers) once the awaited
+/// thing exists. Plain `Copy + Send` data, so a shared store can keep it
+/// beside what the process waits for.
+///
+/// It models `loop { check; sleep(period) }` with the first check at
+/// `since`, without the idle wakes: the publisher wakes the process at
+/// the first tick after the publication. The wake takes the `seq` the
+/// loop's first sleep would have taken, reserved at park time, so two
+/// waiters parked at the same instant wake in park order, as their
+/// sleeps did, and not in the order their files were written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PollWaiter {
+    pub(crate) pid: ProcessId,
+    pub(crate) epoch: u64,
+    pub(crate) since: SimTime,
+    pub(crate) period: SimDuration,
+    pub(crate) seq: u64,
+}
+
+impl PollWaiter {
+    /// The first poll tick strictly after `at`: when the modelled loop
+    /// sees something published at `at`. A publication exactly on a
+    /// tick is seen at the next one.
+    pub(crate) fn tick_after(&self, at: SimTime) -> SimTime {
+        let period = self.period.as_nanos();
+        let ticks = at.since(self.since).as_nanos() / period + 1;
+        self.since + self.period * ticks
+    }
+}
+
 /// Why a process is not currently running.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ProcState {
@@ -74,7 +107,8 @@ pub(crate) enum ProcState {
     Active,
     /// Suspended in `recv`; a message delivery wakes it.
     ParkedRecv,
-    /// Suspended in `sleep`; only the matching `Wake` event resumes it.
+    /// Suspended in `sleep` or `poll_until`; only the matching `Wake`
+    /// event resumes it.
     ParkedSleep,
     /// Body ran to completion (or was dropped at shutdown).
     Finished,
@@ -306,9 +340,26 @@ impl Kernel {
     #[inline]
     pub(crate) fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let at = at.max(self.now);
+        let seq = self.reserve_seq();
+        self.queue.push(Scheduled { time: at, seq, kind });
+    }
+
+    /// Take the next scheduling seq without scheduling anything yet.
+    #[inline]
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { time: at, seq, kind });
+        seq
+    }
+
+    /// Wake poll-parked processes at their first tick after now, each
+    /// under the seq it reserved when it parked.
+    pub(crate) fn wake_pollers(&mut self, waiters: impl IntoIterator<Item = PollWaiter>) {
+        for w in waiters {
+            let time = w.tick_after(self.now);
+            let kind = EventKind::Wake { pid: w.pid, epoch: w.epoch };
+            self.queue.push(Scheduled { time, seq: w.seq, kind });
+        }
     }
 
     /// Schedule delivery of `env` to `dst` after `delay`.

@@ -61,7 +61,7 @@ pub use actor::{Actor, Ctx};
 pub use engine::Engine;
 pub use envelope::{ActorId, Endpoint, Envelope, ProcessId};
 pub use export::{to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines};
-pub use kernel::{Kernel, SimConfig, SimStats};
+pub use kernel::{Kernel, PollWaiter, SimConfig, SimStats};
 pub use metrics::{
     exact_quantile, Counter, HistogramSummary, MetricsRegistry, QuantileEstimator, SloSummary,
 };

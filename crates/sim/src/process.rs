@@ -10,7 +10,7 @@
 //!
 //! ## Await points and the event kernel
 //!
-//! `sleep`, `recv`, `recv_timeout` and friends are futures whose
+//! `sleep`, `recv`, `recv_timeout`, `poll_until` and friends are futures whose
 //! `poll` registers with the event kernel instead of blocking: parking
 //! the process is setting [`ProcState::ParkedSleep`]/[`ProcState::ParkedRecv`]
 //! on its slot (plus scheduling a `Wake` event for deadlines) and
@@ -50,7 +50,7 @@ use std::task::Poll;
 use rand::rngs::SmallRng;
 
 use crate::envelope::{Endpoint, Envelope, ProcessId};
-use crate::kernel::{EventKind, Kernel, ProcSlot, ProcState};
+use crate::kernel::{EventKind, Kernel, PollWaiter, ProcSlot, ProcState};
 use crate::time::{SimDuration, SimTime};
 
 /// A boxed process body: the stackless state machine the engine polls.
@@ -150,6 +150,52 @@ impl Proc {
             k.schedule(at, EventKind::Wake { pid: self.pid, epoch });
             Poll::Pending
         })
+    }
+
+    /// Wait for something another party publishes, modelled as a poll
+    /// of period `period` whose first check is now, at no cost while
+    /// idle. Each check calls `probe` with this park's [`PollWaiter`]:
+    /// `Some(v)` ends the wait; `None` parks the process, and `probe`
+    /// must then have left the waiter with the publisher, which passes
+    /// it to [`Proc::wake_pollers`] / [`Ctx::wake_pollers`](crate::Ctx::wake_pollers)
+    /// when it publishes. The process then checks again at the first
+    /// tick after the publication, the instant the polling loop would
+    /// have seen it. A waiter nobody wakes stays parked and costs no
+    /// events. Messages arriving meanwhile queue up, as during `sleep`.
+    ///
+    /// # Panics
+    /// If `period` is zero (a zero-period poll never lets time pass).
+    pub fn poll_until<'a, T>(
+        &'a self,
+        period: SimDuration,
+        mut probe: impl FnMut(PollWaiter) -> Option<T> + 'a,
+    ) -> impl Future<Output = T> + 'a {
+        assert!(!period.is_zero(), "poll_until needs a non-zero period");
+        std::future::poll_fn(move |_cx| {
+            // The epoch and seq are taken before the check so `probe`
+            // runs borrow-free; a check that succeeds leaves them
+            // unused, which changes no event order.
+            let waiter = {
+                let mut k = self.kernel.borrow_mut();
+                let epoch = k.bump_epoch(self.pid);
+                let seq = k.reserve_seq();
+                PollWaiter { pid: self.pid, epoch, since: k.now(), period, seq }
+            };
+            if let Some(v) = probe(waiter) {
+                return Poll::Ready(v);
+            }
+            let mut k = self.kernel.borrow_mut();
+            let slot = &mut k.procs[self.pid.0];
+            debug_assert_eq!(slot.epoch, waiter.epoch, "probe re-parked the process");
+            slot.state = ProcState::ParkedSleep;
+            Poll::Pending
+        })
+    }
+
+    /// Wake processes parked in [`Proc::poll_until`] on what this
+    /// process just published.
+    pub fn wake_pollers(&self, waiters: impl IntoIterator<Item = PollWaiter>) {
+        self.kernel.borrow_mut().wake_pollers(waiters);
     }
 
     /// Send a payload to `dst`, arriving after `delay`.

@@ -3,12 +3,128 @@
 
 use std::sync::Arc;
 
-use darms_sim::{Engine, SimDuration, SimTime};
+use darms_sim::{Engine, PollWaiter, SimDuration, SimTime};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
+/// How a reader waits for the writer's flag in [`publication_log`].
+#[derive(Clone, Copy)]
+enum Wait {
+    /// The polling loop `poll_until` replaces: check, `sleep(period)`.
+    Loop,
+    /// `poll_until`, parked beside the flag until the writer wakes it.
+    Park,
+}
+
+/// One scenario: a witness that sleeps to `witness_at` in one hop, two
+/// readers that start waiting at `t0` with poll period `period`, each on
+/// its own flag, and a writer that sets both flags at `write_at`, the
+/// second reader's first, its last hop scheduled `last_hop` before.
+/// Returns `(time, who)` in the order things happened, and the event
+/// count.
+fn publication_log(
+    wait: Wait,
+    t0: u64,
+    period: u64,
+    write_at: u64,
+    last_hop: u64,
+    witness_at: u64,
+) -> (Vec<(u64, &'static str)>, u64) {
+    type Board = Arc<Mutex<(bool, Vec<PollWaiter>)>>;
+    let ns = SimDuration::from_nanos;
+    let mut sim = Engine::with_seed(3);
+    let boards: [Board; 2] = std::array::from_fn(|_| Arc::new(Mutex::new((false, Vec::new()))));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let l = log.clone();
+    sim.spawn_process("witness", move |p| async move {
+        p.sleep(ns(witness_at)).await;
+        l.lock().push((p.now().as_nanos(), "witness"));
+    });
+    for (who, board) in ["r0", "r1"].into_iter().zip(&boards) {
+        let (b, l) = (board.clone(), log.clone());
+        sim.spawn_process_after(who, ns(t0), move |p| async move {
+            match wait {
+                Wait::Loop => {
+                    while !b.lock().0 {
+                        p.sleep(ns(period)).await;
+                    }
+                }
+                Wait::Park => {
+                    p.poll_until(ns(period), |w| {
+                        let mut board = b.lock();
+                        if board.0 {
+                            return Some(());
+                        }
+                        board.1.push(w);
+                        None
+                    })
+                    .await
+                }
+            }
+            l.lock().push((p.now().as_nanos(), who));
+        });
+    }
+    let l = log.clone();
+    sim.spawn_process("writer", move |p| async move {
+        p.sleep(ns(write_at - last_hop)).await;
+        p.sleep(ns(last_hop)).await;
+        for b in boards.iter().rev() {
+            let woken = {
+                let mut board = b.lock();
+                board.0 = true;
+                std::mem::take(&mut board.1)
+            };
+            p.wake_pollers(woken);
+        }
+        l.lock().push((p.now().as_nanos(), "writer"));
+    });
+    let stats = sim.run();
+    let out = log.lock().clone();
+    (out, stats.events)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// `poll_until` sees a publication exactly when the polling loop it
+    /// replaces does, at the first tick after the write (a write on a
+    /// tick whose poll was already scheduled is seen a tick later), and
+    /// wakes same-instant waiters in the loop's order (park order, not
+    /// the order their flags were written), while costing no events for
+    /// the idle ticks.
+    #[test]
+    fn parked_poll_matches_the_polling_loop(
+        t0 in 0u64..5_000,
+        period in 1u64..500,
+        ticks in 0u64..12,
+        offset in 0u64..500,
+        mode in 0u8..3,
+        hop in 0u64..500,
+    ) {
+        // Mode 0 writes off-tick after the park, mode 1 exactly on tick
+        // `ticks`, mode 2 before the park.
+        let write_at = match mode {
+            0 => t0 + ticks * period + offset % period,
+            1 => t0 + ticks * period,
+            _ => t0.saturating_sub(offset + 1),
+        };
+        // The writer's last hop is scheduled after the readers' previous
+        // tick, as for a write caused by a message that was in flight.
+        let last_hop = (hop % period).min(write_at);
+        let seen = if write_at < t0 { t0 } else { t0 + ((write_at - t0) / period + 1) * period };
+        let (looped, loop_events) = publication_log(Wait::Loop, t0, period, write_at, last_hop, seen);
+        let (parked, park_events) = publication_log(Wait::Park, t0, period, write_at, last_hop, seen);
+        prop_assert_eq!(&parked, &looped);
+        let at = |who: &str| looped.iter().find(|(_, w)| *w == who).map(|&(t, _)| t);
+        prop_assert_eq!(at("r0"), Some(seen));
+        prop_assert_eq!(at("r1"), Some(seen));
+        prop_assert!(park_events <= loop_events);
+        if write_at >= t0 {
+            // The loop wakes once per tick up to `seen`, the park once.
+            let idle_ticks = (seen - t0) / period - 1;
+            prop_assert_eq!(park_events + 2 * idle_ticks, loop_events);
+        }
+    }
 
     /// Sleepers with arbitrary durations always wake in duration order,
     /// and the clock never runs backwards.
