@@ -49,7 +49,7 @@ impl AcDaemonStarter for DacStarter {
                 }
             })
             .collect();
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "{}: starting {} accelerator daemon(s) for cn{}",
             req.job,
             specs.len(),

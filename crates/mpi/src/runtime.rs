@@ -139,39 +139,48 @@ impl MpiRuntime {
         s.attached.insert(id, n);
     }
 
-    /// Members of one group of a communicator.
-    pub(crate) fn group_members(&self, id: CommId, group: u8) -> Result<Vec<Member>, MpiError> {
+    /// Run `f` on the members of one group of a communicator, under the
+    /// state lock (no copy of the member list).
+    fn with_group<R>(
+        &self,
+        id: CommId,
+        group: u8,
+        f: impl FnOnce(&[Member]) -> R,
+    ) -> Result<R, MpiError> {
         let s = self.state.lock();
         match s.comms.get(&id) {
             Some(CommKind::Intra(m)) => {
                 if group == GROUP_A {
-                    Ok(m.clone())
+                    Ok(f(m))
                 } else {
                     Err(MpiError::InvalidComm("intra-communicator has one group"))
                 }
             }
-            Some(CommKind::Inter { a, b }) => {
-                Ok(if group == GROUP_A { a.clone() } else { b.clone() })
-            }
+            Some(CommKind::Inter { a, b }) => Ok(f(if group == GROUP_A { a } else { b })),
             None => Err(MpiError::InvalidComm("communicator no longer exists")),
         }
     }
 
+    /// Members of one group of a communicator.
+    pub(crate) fn group_members(&self, id: CommId, group: u8) -> Result<Vec<Member>, MpiError> {
+        self.with_group(id, group, |m| m.to_vec())
+    }
+
     /// The member a point-to-point message to `(comm, group, rank)` routes to.
     pub(crate) fn lookup(&self, id: CommId, group: u8, rank: Rank) -> Result<Member, MpiError> {
-        let members = self.group_members(id, group)?;
-        members.get(rank as usize).copied().ok_or(MpiError::NoSuchRank(rank))
+        self.with_group(id, group, |m| m.get(rank as usize).copied())?
+            .ok_or(MpiError::NoSuchRank(rank))
     }
 
     /// Size of a communicator group.
     pub fn group_size(&self, comm: Comm) -> usize {
-        self.group_members(comm.id, comm.group).map(|m| m.len()).unwrap_or(0)
+        self.with_group(comm.id, comm.group, |m| m.len()).unwrap_or(0)
     }
 
     /// Size of the remote group of an inter-communicator.
     pub fn remote_size(&self, comm: Comm) -> usize {
         let remote = if comm.group == GROUP_A { GROUP_B } else { GROUP_A };
-        self.group_members(comm.id, remote).map(|m| m.len()).unwrap_or(0)
+        self.with_group(comm.id, remote, |m| m.len()).unwrap_or(0)
     }
 
     /// Detach one member; the comm is removed once all members detached.

@@ -320,7 +320,7 @@ impl PbsMom {
             self.handle_cleanup(ctx, CleanupJob { job, incarnation: old });
         }
         let sisters = Self::sisters(&launch);
-        ctx.trace(format!("{job}: mother superior, {} sister(s)", sisters.len()));
+        ctx.trace(format_args!("{job}: mother superior, {} sister(s)", sisters.len()));
         self.jobs.insert(job, MomJob::new(launch, true));
         self.open(ctx, job, (SisterOp::Join, None), sisters, Completion::Prologue);
     }
@@ -456,7 +456,7 @@ impl PbsMom {
         if !rec.is_ms {
             return;
         }
-        ctx.trace(format!("{job}: walltime exceeded; killing"));
+        ctx.trace(format_args!("{job}: walltime exceeded; killing"));
         let incarnation = rec.launch.incarnation;
         self.send_exit(ctx, JobExit { job, from: self.host, incarnation, timed_out: true });
         self.handle_cleanup(ctx, CleanupJob { job, incarnation });
@@ -483,7 +483,7 @@ impl PbsMom {
             .chain(rec.dyn_hosts.iter().copied())
             .filter(|h| !cmd.accs.contains(h))
             .collect();
-        ctx.trace(format!("{}: DYNJOIN of {} host(s)", cmd.job, cmd.accs.len()));
+        ctx.trace(format_args!("{}: DYNJOIN of {} host(s)", cmd.job, cmd.accs.len()));
         let then = Completion::DynReady { token: cmd.token, accs: cmd.accs.clone() };
         self.open(ctx, cmd.job, key, cmd.accs.clone(), then);
         // Update the existing moms' databases (§III-D).
@@ -501,7 +501,7 @@ impl PbsMom {
             self.send_to(ctx, server_addr(self.head), free_done);
             return;
         }
-        ctx.trace(format!("{}: DISJOIN of {} host(s)", cmd.job, cmd.accs.len()));
+        ctx.trace(format_args!("{}: DISJOIN of {} host(s)", cmd.job, cmd.accs.len()));
         let key = (SisterOp::Disjoin, Some(cmd.client_id));
         if self.jobs.get(&cmd.job).is_none_or(|rec| rec.exchanges.contains_key(&key)) {
             return; // unknown job, or release already in progress
@@ -545,7 +545,7 @@ impl PbsMom {
                 // The host is down: its mom cannot acknowledge. Treat the
                 // disassociation as complete — the health monitor marks
                 // the node offline at the server.
-                ctx.trace(format!("DISJOIN to dead host{} short-circuited", host.index()));
+                ctx.trace(format_args!("DISJOIN to dead host{} short-circuited", host.index()));
                 self.handle_ack(ctx, SisterAck { job, host, op });
             }
         }
@@ -574,7 +574,7 @@ impl PbsMom {
     fn finish_sister_req(&mut self, ctx: &mut Ctx<'_>, req: SisterReq) {
         let SisterReq { job, op, launch, reply } = req;
         if op == SisterOp::Disjoin {
-            ctx.trace(format!("{job}: disjoined"));
+            ctx.trace(format_args!("{job}: disjoined"));
             // Kill any remaining local tasks of this job, then detach.
             self.jobs.remove(&job);
         } else if let Some(launch) = launch {
@@ -649,7 +649,7 @@ impl PbsMom {
                 self.deferred.remove(&token);
             }
             let rec = self.jobs.get_mut(&msg.job).expect("present");
-            ctx.trace(format!("{}: all tasks done", msg.job));
+            ctx.trace(format_args!("{}: all tasks done", msg.job));
             let sisters: Vec<HostId> = Self::sisters(&rec.launch)
                 .into_iter()
                 .chain(rec.dyn_hosts.iter().copied())
@@ -810,7 +810,7 @@ impl Actor for PbsMom {
             }
             Err(e) => e,
         };
-        ctx.trace(format!("{}: unhandled message {env:?}", self.name));
+        ctx.trace(format_args!("{}: unhandled message {env:?}", self.name));
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {

@@ -80,14 +80,14 @@ impl HealthMonitor {
                     node.misses = 0;
                     if node.marked_offline {
                         node.marked_offline = false;
-                        ctx.trace(format!("host{} is back; reporting online", h.index()));
+                        ctx.trace(format_args!("host{} is back; reporting online", h.index()));
                         self.report(ctx, h, false);
                     }
                 }
                 let node = self.nodes.get_mut(&h).expect("watched node");
                 if node.misses >= self.config.miss_threshold && !node.marked_offline {
                     node.marked_offline = true;
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "host{} missed {} pings; reporting offline",
                         h.index(),
                         node.misses

@@ -32,6 +32,8 @@ struct JobRecord {
     /// How often the job has been requeued after losing a node; one
     /// requeue is free, a second failure cancels the job.
     requeues: u32,
+    /// The job's key in [`QueuedIndex`] while it is queued or held.
+    ticket: u64,
 }
 
 impl JobRecord {
@@ -267,6 +269,37 @@ const IFL_CACHE_CAP: usize = 4096;
 /// tokens from 1 upward).
 const TOKEN_RETRY: u64 = 0;
 
+/// Queued and held jobs in queue order: submission order, a requeued
+/// job at the back. Each enqueue takes a fresh ticket, which the job's
+/// record keeps so that start and `qdel` remove exactly its entry, and
+/// hold and release leave the entry where it is. The index holds no
+/// started or cancelled job, so a walk visits only queued and held ones.
+#[derive(Default)]
+struct QueuedIndex {
+    by_ticket: BTreeMap<u64, JobId>,
+    next_ticket: u64,
+}
+
+impl QueuedIndex {
+    /// Append `job`; returns its ticket.
+    fn push(&mut self, job: JobId) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.by_ticket.insert(ticket, job);
+        ticket
+    }
+
+    /// Drop the entry under `ticket` (the job started or was cancelled).
+    fn remove(&mut self, ticket: u64) {
+        self.by_ticket.remove(&ticket);
+    }
+
+    /// Queued and held jobs, in queue order.
+    fn iter(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.by_ticket.values().copied()
+    }
+}
+
 /// Deferred actions driven by processing-cost timers.
 enum Deferred {
     QsubDone { req: QsubReq },
@@ -284,12 +317,7 @@ pub struct PbsServer {
     cost: RmsCostModel,
     jobs: BTreeMap<JobId, JobRecord>,
     active: ActiveJobs,
-    /// Submission order of queued jobs. Entries are removed lazily: a
-    /// started or cancelled job's entry goes stale (its state filters it
-    /// out everywhere) and `queue_dead` triggers a periodic compaction,
-    /// so dequeuing is O(1) instead of O(queue).
-    queue_order: Vec<JobId>,
-    queue_dead: usize,
+    queued: QueuedIndex,
     db: Arc<Mutex<NodeDb>>,
     next_job: u64,
     next_client: u64,
@@ -323,8 +351,7 @@ impl PbsServer {
             cost,
             jobs: BTreeMap::new(),
             active: ActiveJobs::default(),
-            queue_order: Vec::new(),
-            queue_dead: 0,
+            queued: QueuedIndex::default(),
             db: Arc::new(Mutex::new(db)),
             next_job: 1,
             next_client: 1,
@@ -429,18 +456,6 @@ impl PbsServer {
         }
     }
 
-    /// Drop stale `queue_order` entries (jobs no longer queued or held)
-    /// once they outnumber the live ones. Amortized O(1) per dequeue.
-    fn maybe_compact_queue(&mut self) {
-        if self.queue_dead >= 64 && self.queue_dead * 2 > self.queue_order.len() {
-            let jobs = &self.jobs;
-            self.queue_order.retain(|id| {
-                jobs.get(id).is_some_and(|j| matches!(j.state, JobState::Queued | JobState::Held))
-            });
-            self.queue_dead = 0;
-        }
-    }
-
     // -- qsub ----------------------------------------------------------
 
     fn handle_qsub(&mut self, ctx: &mut Ctx<'_>, req: QsubReq) {
@@ -466,10 +481,10 @@ impl PbsServer {
             dyn_sets: Vec::new(),
             incarnation: 0,
             requeues: 0,
+            ticket: self.queued.push(id),
         };
-        ctx.trace(format!("{id} queued ({})", rec.spec.name));
+        ctx.trace(format_args!("{id} queued ({})", rec.spec.name));
         self.jobs.insert(id, rec);
-        self.queue_order.push(id);
         let resp = QsubResp { token, job: id };
         self.dedup_store(token, reply, CachedResp::Qsub(resp.clone()));
         self.reply(ctx, reply, resp);
@@ -518,9 +533,9 @@ impl PbsServer {
             }
         };
         let queued = self
-            .queue_order
+            .queued
             .iter()
-            .filter_map(|id| self.jobs.get(id))
+            .filter_map(|id| self.jobs.get(&id))
             .filter(|j| j.state == JobState::Queued)
             .map(|j| QueuedJobSnap {
                 job: j.id,
@@ -570,7 +585,7 @@ impl PbsServer {
             _ => false,
         };
         if !feasible {
-            ctx.trace(format!("dropping infeasible RunJob for {}", cmd.job));
+            ctx.trace(format_args!("dropping infeasible RunJob for {}", cmd.job));
             self.wake_scheduler(ctx);
             return;
         }
@@ -588,6 +603,7 @@ impl PbsServer {
         job.accs = cmd.accs.clone();
         job.incarnation += 1;
         let id = job.id;
+        self.queued.remove(job.ticket);
         {
             let mut db = self.db.lock();
             for h in &cmd.compute {
@@ -599,10 +615,8 @@ impl PbsServer {
         }
         self.record_pool_util(ctx);
         self.active.insert(id);
-        self.queue_dead += 1;
-        self.maybe_compact_queue();
         let ms = cmd.compute[0];
-        ctx.trace(format!("{id} -> mother superior on host{}", ms.index()));
+        ctx.trace(format_args!("{id} -> mother superior on host{}", ms.index()));
         let launch = self.jobs[&id].launch();
         self.send_mom(ctx, ms, SendJob { launch });
     }
@@ -645,7 +659,7 @@ impl PbsServer {
             return;
         }
         let Some(req) = self.dyns.fifo.pop_front() else { return };
-        ctx.trace(format!("servicing dynamic request of {} (count {})", req.job, req.count));
+        ctx.trace(format_args!("servicing dynamic request of {} (count {})", req.job, req.count));
         let token = req.token;
         self.dyns.active = Some(ActiveDyn { req, phase: DynPhase::Serviced });
         self.defer(ctx, self.cost.dyn_request_handling, Deferred::DynExpose { token });
@@ -684,7 +698,7 @@ impl PbsServer {
         };
         let n = cmd.accs.len();
         if !ok || n < a.req.min_count as usize || n > a.req.count as usize {
-            ctx.trace(format!("dropping infeasible dyn grant for {job}"));
+            ctx.trace(format_args!("dropping infeasible dyn grant for {job}"));
             return self.complete_dyn(ctx, a.req, Err(Vec::new()));
         }
         let client_id = ClientId(self.next_client);
@@ -768,7 +782,7 @@ impl PbsServer {
                 // soak harness (rms.dyn_wait below also counts rejections).
                 metrics.observe_duration("rms.dynget_to_grant", now.since(p.arrived));
                 let (job, n, client_id) = (p.job, grant.accs.len(), grant.client_id);
-                ctx.trace(format!("{job} granted {n} accelerator(s) as {client_id}"));
+                ctx.trace(format_args!("{job} granted {n} accelerator(s) as {client_id}"));
                 Ok(grant)
             }
             Err(release) => {
@@ -781,7 +795,7 @@ impl PbsServer {
                     }
                 }
                 ctx.metrics().counter_inc("rms.dyn_rejected");
-                ctx.trace(format!("{} dynamic request rejected", p.job));
+                ctx.trace(format_args!("{} dynamic request rejected", p.job));
                 Err(DynReject::Unavailable)
             }
         };
@@ -823,7 +837,7 @@ impl PbsServer {
             return;
         };
         let ms = rec.compute.first().copied();
-        ctx.trace(format!("{job} dynfree of {client_id}: instructing mother superior"));
+        ctx.trace(format_args!("{job} dynfree of {client_id}: instructing mother superior"));
         if let Some(ms) = ms {
             let cmd = disjoin_cmd(job, &set);
             self.pending_frees.insert(client_id, (job, set));
@@ -853,7 +867,7 @@ impl PbsServer {
         }
         self.record_pool_util(ctx);
         ctx.metrics().counter_inc("rms.disjoin");
-        ctx.trace(format!("{} released set {}", msg.job, msg.set.client_id));
+        ctx.trace(format_args!("{} released set {}", msg.job, msg.set.client_id));
         self.wake_scheduler(ctx);
     }
 
@@ -887,7 +901,7 @@ impl PbsServer {
         self.db.lock().release_job(msg.job);
         self.fs.remove_job(msg.job);
         self.record_pool_util(ctx);
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "{} {}",
             msg.job,
             if msg.timed_out { "killed: walltime exceeded" } else { "complete" }
@@ -958,6 +972,7 @@ impl PbsServer {
             if requeue {
                 rec.requeues += 1;
                 rec.state = JobState::Queued;
+                rec.ticket = self.queued.push(job);
             } else {
                 rec.state = JobState::Cancelled;
                 rec.completed = Some(ctx.now());
@@ -965,20 +980,13 @@ impl PbsServer {
             self.active.remove(job);
             self.db.lock().release_job(job);
             self.fs.remove_job(job);
-            if requeue {
-                // Reclaim is rare (fault path), so an exact O(queue)
-                // de-dup beats tracking staleness: the job's entry from
-                // its first queueing may still be lazily present.
-                self.queue_order.retain(|j| *j != job);
-                self.queue_order.push(job);
-            }
             if let Some(ms) = ms {
                 if ms != host {
                     self.send_mom(ctx, ms, CleanupJob { job, incarnation });
                 }
             }
             ctx.metrics().counter_inc("rms.reclaims");
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "{job} reclaimed from offline host{}: {}",
                 host.index(),
                 if requeue { "requeued" } else { "cancelled" }
@@ -1027,12 +1035,12 @@ impl PbsServer {
         let ok = match self.jobs.get_mut(&req.job) {
             Some(rec) if req.hold && rec.state == JobState::Queued => {
                 rec.state = JobState::Held;
-                ctx.trace(format!("{} held", req.job));
+                ctx.trace(format_args!("{} held", req.job));
                 true
             }
             Some(rec) if !req.hold && rec.state == JobState::Held => {
                 rec.state = JobState::Queued;
-                ctx.trace(format!("{} released from hold", req.job));
+                ctx.trace(format_args!("{} released from hold", req.job));
                 true
             }
             _ => false,
@@ -1055,8 +1063,7 @@ impl PbsServer {
             Some(rec) if matches!(rec.state, JobState::Queued | JobState::Held) => {
                 rec.state = JobState::Cancelled;
                 rec.completed = Some(ctx.now());
-                self.queue_dead += 1;
-                self.maybe_compact_queue();
+                self.queued.remove(rec.ticket);
                 true
             }
             Some(rec) if matches!(rec.state, JobState::Running | JobState::DynQueued) => {
@@ -1178,7 +1185,7 @@ impl Actor for PbsServer {
         let env = match env.downcast::<SetNodeOffline>() {
             Ok(m) => {
                 self.db.lock().set_offline(m.host, m.offline);
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "node host{} marked {}",
                     m.host.index(),
                     if m.offline { "offline" } else { "online" }
@@ -1191,7 +1198,7 @@ impl Actor for PbsServer {
             }
             Err(e) => e,
         };
-        ctx.trace(format!("pbs_server: unhandled message {env:?}"));
+        ctx.trace(format_args!("pbs_server: unhandled message {env:?}"));
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -1329,6 +1336,7 @@ mod tests {
                 dyn_sets: Vec::new(),
                 incarnation: 1,
                 requeues: 0,
+                ticket: 0,
             },
         );
         server.active.insert(job);
@@ -1617,6 +1625,100 @@ mod tests {
             assert!(*delta, "{name}: answered as a delta");
             assert_eq!(*shipped, want, "{name}: (running, gone) shipped");
             assert!(*same, "{name}: mirror equals the full running list");
+        }
+    }
+
+    /// The queued list the index replaced: every enqueue appends, a
+    /// started or cancelled job's entry stays until the dead entries
+    /// number at least 64 and outnumber the live ones, and a requeue
+    /// drops the job's old entry and appends it again.
+    #[derive(Default)]
+    struct LazyQueue {
+        order: Vec<JobId>,
+        dead: usize,
+    }
+
+    impl LazyQueue {
+        fn dequeued(&mut self, states: &BTreeMap<JobId, JobState>) {
+            self.dead += 1;
+            if self.dead >= 64 && self.dead * 2 > self.order.len() {
+                self.order.retain(|id| matches!(states[id], JobState::Queued | JobState::Held));
+                self.dead = 0;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 128, ..Default::default() })]
+
+        /// Random enqueue, start, `qdel`, hold, release and requeue
+        /// steps: the index lists the reference's queued jobs in the
+        /// reference's order after every step, and holds only queued
+        /// and held jobs.
+        #[test]
+        fn queued_index_matches_lazy_vec(
+            ops in proptest::collection::vec((0u8..6, 0usize..64), 1..400),
+        ) {
+            let mut index = QueuedIndex::default();
+            let mut tickets: BTreeMap<JobId, u64> = BTreeMap::new();
+            let mut states: BTreeMap<JobId, JobState> = BTreeMap::new();
+            let mut reference = LazyQueue::default();
+            let mut next = 1;
+            for (op, pick) in ops {
+                let pick_in = |states: &BTreeMap<JobId, JobState>, want: &[JobState]| {
+                    let ids: Vec<JobId> =
+                        states.iter().filter(|(_, s)| want.contains(s)).map(|(id, _)| *id).collect();
+                    (!ids.is_empty()).then(|| ids[pick % ids.len()])
+                };
+                match op {
+                    0 => {
+                        let id = JobId(next);
+                        next += 1;
+                        states.insert(id, JobState::Queued);
+                        tickets.insert(id, index.push(id));
+                        reference.order.push(id);
+                    }
+                    1 | 2 => {
+                        // Start a queued job, or `qdel` a queued or held one.
+                        let (want, to): (&[JobState], _) = if op == 1 {
+                            (&[JobState::Queued], JobState::Running)
+                        } else {
+                            (&[JobState::Queued, JobState::Held], JobState::Cancelled)
+                        };
+                        if let Some(id) = pick_in(&states, want) {
+                            states.insert(id, to);
+                            index.remove(tickets[&id]);
+                            reference.dequeued(&states);
+                        }
+                    }
+                    3 => {
+                        if let Some(id) = pick_in(&states, &[JobState::Queued]) {
+                            states.insert(id, JobState::Held);
+                        }
+                    }
+                    4 => {
+                        if let Some(id) = pick_in(&states, &[JobState::Held]) {
+                            states.insert(id, JobState::Queued);
+                        }
+                    }
+                    _ => {
+                        if let Some(id) = pick_in(&states, &[JobState::Running]) {
+                            states.insert(id, JobState::Queued);
+                            tickets.insert(id, index.push(id));
+                            reference.order.retain(|j| *j != id);
+                            reference.order.push(id);
+                        }
+                    }
+                }
+                let queued = |ids: Vec<JobId>| -> Vec<JobId> {
+                    ids.into_iter().filter(|id| states[id] == JobState::Queued).collect()
+                };
+                let listed: Vec<JobId> = index.iter().collect();
+                proptest::prop_assert!(listed
+                    .iter()
+                    .all(|id| matches!(states[id], JobState::Queued | JobState::Held)));
+                proptest::prop_assert_eq!(queued(listed), queued(reference.order.clone()));
+            }
         }
     }
 }

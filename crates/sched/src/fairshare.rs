@@ -25,6 +25,9 @@ pub struct Fairshare {
     usage: Vec<f64>,
     /// `(job, slot)` of every job the last accrual saw, in its order.
     roster: Vec<(JobId, usize)>,
+    /// Empty buffer the next accrual writes its roster into; the two
+    /// swap on every accrual, so neither is reallocated.
+    spare: Vec<(JobId, usize)>,
     /// The heaviest usage: the normaliser, refreshed by each update.
     max: f64,
     last_update: SimTime,
@@ -39,6 +42,7 @@ impl Fairshare {
             names: Vec::new(),
             usage: Vec::new(),
             roster: Vec::new(),
+            spare: Vec::new(),
             max: 0.0,
             last_update: SimTime::ZERO,
             half_life,
@@ -59,7 +63,7 @@ impl Fairshare {
             for v in &mut self.usage {
                 *v *= decay;
             }
-            let last = std::mem::take(&mut self.roster);
+            let mut last = std::mem::replace(&mut self.roster, std::mem::take(&mut self.spare));
             let mut cursor = 0;
             for job in running {
                 while last.get(cursor).is_some_and(|&(id, _)| id < job.job) {
@@ -76,6 +80,8 @@ impl Fairshare {
                 let cores = (job.compute_hosts.len() as f64) * job.ppn as f64;
                 self.usage[slot] += cores * dt;
             }
+            last.clear();
+            self.spare = last;
             self.last_update = now;
         }
         for v in &mut self.usage {

@@ -505,7 +505,7 @@ impl MauiScheduler {
                             self.touched.extend(accs.iter().copied());
                         }
                         record_wait(self, ctx, true);
-                        ctx.trace(format!(
+                        ctx.trace(format_args!(
                             "dyn request of {} granted {} of {} node(s)",
                             d.job,
                             accs.len(),
@@ -519,7 +519,7 @@ impl MauiScheduler {
                             Some(limit) if waited < limit => {
                                 // Ablation of §III-E: keep the request
                                 // queued and retry instead of rejecting.
-                                ctx.trace(format!(
+                                ctx.trace(format_args!(
                                     "dyn request of {} still waiting ({waited})",
                                     d.job
                                 ));
@@ -529,7 +529,7 @@ impl MauiScheduler {
                                 // The paper's policy: no reservations for
                                 // dynamic requests; reject immediately.
                                 record_wait(self, ctx, false);
-                                ctx.trace(format!("dyn request of {} rejected", d.job));
+                                ctx.trace(format_args!("dyn request of {} rejected", d.job));
                                 self.send_server(ctx, RejectDynCmd { token: d.token });
                             }
                         }
@@ -561,7 +561,7 @@ impl MauiScheduler {
             self.touched.extend(flat.iter().copied());
         }
         let accs = split_accs(&flat, j.nodes, j.acpn);
-        ctx.trace(format!("starting {} on {} node(s)", j.job, compute.len()));
+        ctx.trace(format_args!("starting {} on {} node(s)", j.job, compute.len()));
         self.iter_started.push(RunningJobSnap {
             job: j.job,
             owner: j.owner.clone(),
@@ -621,7 +621,7 @@ impl Actor for MauiScheduler {
             Ok(m) => return self.handle_snapshot(ctx, m),
             Err(e) => e,
         };
-        ctx.trace(format!("maui: unhandled message {env:?}"));
+        ctx.trace(format_args!("maui: unhandled message {env:?}"));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

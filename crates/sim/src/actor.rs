@@ -4,6 +4,7 @@
 //! [processes](crate::process::Proc) instead.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -115,21 +116,19 @@ impl Ctx<'_> {
         self.spawn_process_after(name, SimDuration::ZERO, entry)
     }
 
-    /// Record an instant trace event attributed to this actor.
-    pub fn trace(&mut self, event: impl Into<String>) {
-        self.trace_detail(event, String::new());
-    }
-
-    /// Record an instant trace event with a detail payload. The interned
-    /// actor name makes this a refcount bump, not a `String` clone.
-    pub fn trace_detail(&mut self, event: impl Into<String>, detail: impl Into<String>) {
-        let name: Arc<str> = self
-            .k
-            .actor_names
-            .get(self.me.0)
-            .cloned()
-            .unwrap_or_else(|| format!("actor#{}", self.me.0).into());
-        self.k.emit(crate::trace::TraceSource::Actor(self.me), &name, event, detail);
+    /// Record an instant trace event attributed to this actor. With the
+    /// tracer off this returns before `event` is formatted; pass
+    /// `format_args!(…)` rather than a `format!` string so that holds.
+    pub fn trace(&mut self, event: impl fmt::Display) {
+        let k = &*self.k;
+        if !k.tracer.enabled() {
+            return;
+        }
+        let source = crate::trace::TraceSource::Actor(self.me);
+        match k.actor_names.get(self.me.0) {
+            Some(name) => k.emit(source, name, event),
+            None => k.emit(source, &format!("actor#{}", self.me.0).into(), event),
+        }
     }
 
     /// Cloneable handle to the structured tracer.

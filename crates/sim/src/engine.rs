@@ -601,14 +601,14 @@ mod tests {
             let a = e.spawn_process("a", move |p| async move {
                 let jitter = p.with_rng(|r| rand::Rng::gen_range(r, 0..1000u64));
                 p.sleep(SimDuration::from_micros(jitter)).await;
-                p.trace(format!("slept {jitter}"));
+                p.trace(format_args!("slept {jitter}"));
                 let (v, src) = p.recv_as::<u32>().await;
                 p.send(src.unwrap(), v + 1, ms(1));
             });
             e.spawn_process("b", move |p| async move {
                 p.send(a.into(), 10u32, ms(2));
                 let (v, _) = p.recv_as::<u32>().await;
-                p.trace(format!("got {v}"));
+                p.trace(format_args!("got {v}"));
             });
             e.run();
             e.take_events().into_iter().map(|ev| (ev.time.as_nanos(), ev.name)).collect()

@@ -9,100 +9,19 @@
 //! (RMS, scheduler, MPI runtime, accelerator daemons) can define its own
 //! protocol enums without a central message registry.
 //!
-//! ## Payload pooling
+//! ## No payload pool
 //!
-//! A message send used to cost one heap allocation (the payload box) and
-//! the matching free on receipt — the dominant allocator traffic on the
-//! kernel's hot path. Payloads are now stored as `Box<Option<T>>` erased
-//! to `Box<dyn Any + Send>`: [`Envelope::downcast`] *takes* the value out
-//! of the `Option` and recycles the emptied box into a thread-local pool
-//! keyed by `TypeId`, and the constructors refill a pooled box instead of
-//! allocating. Steady-state messaging (request/reply, ping-pong) reuses
-//! the same few boxes indefinitely. Pooling is invisible to behaviour:
-//! the same values flow, only their heap cells are reused.
+//! A send costs one heap allocation (the payload box) and a receive the
+//! matching free. A thread-local pool of emptied boxes keyed by payload
+//! type used to recycle them, but its one-slot hot cache only hit while
+//! one payload type dominated the traffic. Under mixed control-plane
+//! traffic most sends and receives paid a `BTreeMap` remove plus insert,
+//! more than the allocator's per-thread cache charges for the
+//! malloc/free pair it saved. Ping-pong, the case the pool was built
+//! for, runs at the same speed without it (DESIGN.md §10).
 
-use std::any::{Any, TypeId};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::any::Any;
 use std::fmt;
-
-/// Per-thread pool of emptied payload cells (`Box<Option<T>>` erased),
-/// keyed by the *cell's* `TypeId` (i.e. `Option<T>`). A one-slot hot
-/// cache front-runs the map: steady-state traffic is dominated by one
-/// payload type at a time (`BTreeMap`, not `HashMap`: the determinism
-/// lint bans unordered containers in this crate, and the map is never
-/// iterated anyway).
-struct PayloadPool {
-    hot: Option<(TypeId, Vec<Box<dyn Any + Send>>)>,
-    by_type: BTreeMap<TypeId, Vec<Box<dyn Any + Send>>>,
-}
-
-/// Cap per payload type; beyond this, cells are simply freed.
-const POOL_CAP: usize = 64;
-
-thread_local! {
-    // `const` init: accesses compile to a direct TLS read with no
-    // lazy-initialization branch, which matters at tens of millions of
-    // pool hits per second.
-    static PAYLOAD_POOL: RefCell<PayloadPool> =
-        const { RefCell::new(PayloadPool { hot: None, by_type: BTreeMap::new() }) };
-}
-
-impl PayloadPool {
-    #[inline]
-    fn take(&mut self, tid: TypeId) -> Option<Box<dyn Any + Send>> {
-        if let Some((hot_tid, cells)) = &mut self.hot {
-            if *hot_tid == tid {
-                return cells.pop();
-            }
-        }
-        // Promote this type to the hot slot, demoting the previous one.
-        let cells = self.by_type.remove(&tid).unwrap_or_default();
-        if let Some((old_tid, old)) = self.hot.replace((tid, cells)) {
-            if !old.is_empty() {
-                self.by_type.insert(old_tid, old);
-            }
-        }
-        self.hot.as_mut().and_then(|(_, cells)| cells.pop())
-    }
-
-    #[inline]
-    fn give(&mut self, tid: TypeId, cell: Box<dyn Any + Send>) {
-        if let Some((hot_tid, cells)) = &mut self.hot {
-            if *hot_tid == tid {
-                if cells.len() < POOL_CAP {
-                    cells.push(cell);
-                }
-                return;
-            }
-        }
-        let cells = self.by_type.entry(tid).or_default();
-        if cells.len() < POOL_CAP {
-            cells.push(cell);
-        }
-    }
-}
-
-/// Wrap `payload` in a (possibly recycled) `Box<Option<T>>` cell, erased.
-#[inline]
-fn alloc_cell<T: Any + Send>(payload: T) -> Box<dyn Any + Send> {
-    let tid = TypeId::of::<Option<T>>();
-    let recycled = PAYLOAD_POOL.with(|p| p.borrow_mut().take(tid));
-    match recycled {
-        Some(mut cell) => {
-            *cell.downcast_mut::<Option<T>>().expect("pool keyed by cell type") = Some(payload);
-            cell
-        }
-        None => Box::new(Some(payload)),
-    }
-}
-
-/// Return an emptied cell (its `Option` is `None`) to the pool.
-#[inline]
-fn recycle_cell(cell: Box<dyn Any + Send>) {
-    let tid = (*cell).type_id();
-    PAYLOAD_POOL.with(|p| p.borrow_mut().give(tid, cell));
-}
 
 /// Identifier of a reactive actor registered with the engine.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -157,45 +76,37 @@ impl From<ProcessId> for Endpoint {
 pub struct Envelope {
     /// Originating endpoint, if known (used for request/reply patterns).
     pub src: Option<Endpoint>,
-    /// The payload cell: a `Box<Option<T>>` erased to `dyn Any` (see the
-    /// module docs on pooling). The `Option` is always `Some` while the
-    /// envelope exists. Downcast with [`Envelope::downcast`] /
+    /// The payload, erased. Downcast with [`Envelope::downcast`] /
     /// [`Envelope::is`].
-    cell: Box<dyn Any + Send>,
+    payload: Box<dyn Any + Send>,
 }
 
 impl Envelope {
     /// Wrap a payload with no recorded source.
     pub fn new<T: Any + Send>(payload: T) -> Self {
-        Envelope { src: None, cell: alloc_cell(payload) }
+        Envelope { src: None, payload: Box::new(payload) }
     }
 
     /// Wrap a payload recording the sending endpoint.
     pub fn from_src<T: Any + Send>(src: Endpoint, payload: T) -> Self {
-        Envelope { src: Some(src), cell: alloc_cell(payload) }
+        Envelope { src: Some(src), payload: Box::new(payload) }
     }
 
     /// Whether the payload is of type `T`.
     pub fn is<T: Any>(&self) -> bool {
-        self.cell.is::<Option<T>>()
+        self.payload.is::<T>()
     }
 
     /// Consume the envelope, returning the payload if it is a `T`,
-    /// otherwise giving the envelope back. On success the emptied
-    /// payload cell is recycled into the thread-local pool.
-    pub fn downcast<T: Any>(mut self) -> Result<T, Envelope> {
-        match self.cell.downcast_mut::<Option<T>>().map(|o| o.take().expect("cell is Some")) {
-            Some(v) => {
-                recycle_cell(self.cell);
-                Ok(v)
-            }
-            None => Err(self),
-        }
+    /// otherwise giving the envelope back.
+    pub fn downcast<T: Any>(self) -> Result<T, Envelope> {
+        let Envelope { src, payload } = self;
+        payload.downcast::<T>().map(|b| *b).map_err(|payload| Envelope { src, payload })
     }
 
     /// Borrow the payload as a `T` if it is one.
     pub fn peek<T: Any>(&self) -> Option<&T> {
-        self.cell.downcast_ref::<Option<T>>().and_then(|o| o.as_ref())
+        self.payload.downcast_ref::<T>()
     }
 }
 
@@ -203,13 +114,16 @@ impl fmt::Debug for Envelope {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Envelope")
             .field("src", &self.src)
-            .field("payload_type", &(*self.cell).type_id())
+            .field("payload_type", &(*self.payload).type_id())
             .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::*;
 
     #[derive(Debug, PartialEq)]
@@ -239,6 +153,64 @@ mod tests {
         let env = Envelope::from_src(src, Ping(1));
         let env = env.downcast::<Pong>().unwrap_err();
         assert_eq!(env.src, Some(src));
+    }
+
+    /// Counts its drops in a shared cell.
+    struct DropCount(Arc<AtomicUsize>);
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A drop-counted payload and a reader of its drop count.
+    fn drop_counted() -> (DropCount, impl Fn() -> usize) {
+        let n = Arc::new(AtomicUsize::new(0));
+        let seen = n.clone();
+        (DropCount(n), move || seen.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn undelivered_payload_is_dropped_once() {
+        let (payload, drops) = drop_counted();
+        let env = Envelope::new(payload);
+        assert_eq!(drops(), 0);
+        drop(env);
+        assert_eq!(drops(), 1);
+    }
+
+    #[test]
+    fn payload_through_failed_then_successful_downcast_is_dropped_once() {
+        let (payload, drops) = drop_counted();
+        let env = Envelope::from_src(Endpoint::Actor(ActorId(0)), payload);
+        let env = env.downcast::<Ping>().unwrap_err();
+        assert_eq!(drops(), 0);
+        let payload = env.downcast::<DropCount>().unwrap();
+        assert_eq!(drops(), 0);
+        drop(payload);
+        assert_eq!(drops(), 1);
+    }
+
+    #[test]
+    fn peeked_payload_is_dropped_once() {
+        let (payload, drops) = drop_counted();
+        let env = Envelope::new(payload);
+        assert!(env.peek::<DropCount>().is_some());
+        assert_eq!(drops(), 0);
+        drop(env);
+        assert_eq!(drops(), 1);
+    }
+
+    #[test]
+    fn zero_sized_payload() {
+        struct Tick;
+        let env = Envelope::new(Tick);
+        assert!(env.is::<Tick>());
+        assert!(!env.is::<Ping>());
+        assert!(env.peek::<Tick>().is_some());
+        assert!(env.peek::<Ping>().is_none());
+        assert!(env.downcast::<Tick>().is_ok());
     }
 
     #[test]

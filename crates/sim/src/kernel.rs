@@ -15,6 +15,7 @@
 //! future spawns.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -392,22 +393,16 @@ impl Kernel {
     }
 
     /// Record an instant trace event with a typed source (no-op unless
-    /// tracing is enabled; the strings are only built when it is). The
+    /// tracing is enabled; `event` is only formatted when it is). The
     /// source name is an interned handle, so emission never copies it.
-    pub fn emit(
-        &self,
-        source: TraceSource,
-        source_name: &Arc<str>,
-        name: impl Into<String>,
-        detail: impl Into<String>,
-    ) {
+    pub fn emit(&self, source: TraceSource, source_name: &Arc<str>, event: impl fmt::Display) {
         let now = self.now;
         self.tracer.emit_with(|| TraceEvent {
             time: now,
             source,
             source_name: source_name.clone(),
-            name: name.into(),
-            detail: detail.into(),
+            name: event.to_string(),
+            detail: String::new(),
             kind: TraceEventKind::Instant,
         });
     }

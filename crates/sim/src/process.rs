@@ -41,6 +41,7 @@
 //! `spawn_churn` benchmark) are practical.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -107,15 +108,12 @@ impl Proc {
         self.kernel.borrow().now()
     }
 
-    /// Record an instant trace event attributed to this process.
-    pub fn trace(&self, event: impl Into<String>) {
-        self.trace_detail(event, String::new());
-    }
-
-    /// Record an instant trace event with a detail payload.
-    pub fn trace_detail(&self, event: impl Into<String>, detail: impl Into<String>) {
+    /// Record an instant trace event attributed to this process. With
+    /// the tracer off this returns before `event` is formatted; pass
+    /// `format_args!(…)` rather than a `format!` string so that holds.
+    pub fn trace(&self, event: impl fmt::Display) {
         let k = self.kernel.borrow();
-        k.emit(crate::trace::TraceSource::Process(self.pid), &self.name, event, detail);
+        k.emit(crate::trace::TraceSource::Process(self.pid), &self.name, event);
     }
 
     /// Cloneable handle to the structured tracer.
