@@ -307,6 +307,27 @@ impl LitExpr {
             None
         }
     }
+
+    /// Identifiers this literal captures if it is a format string:
+    /// `{NAME}`, `{NAME:?}`. Empty for other literals.
+    pub fn format_captures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut rest = self.str_content().unwrap_or("");
+        while let Some(i) = rest.find('{') {
+            rest = &rest[i + 1..];
+            if let Some(r) = rest.strip_prefix('{') {
+                rest = r; // `{{` is a literal brace
+                continue;
+            }
+            let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
+            let name = &rest[..end];
+            let starts_ident = name.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_');
+            if starts_ident && rest[end..].starts_with(['}', ':']) {
+                out.push(name.to_string());
+            }
+        }
+        out
+    }
 }
 
 #[derive(Debug)]

@@ -130,33 +130,9 @@ fn expr_names(e: &Expr, out: &mut BTreeSet<String>) {
             out.insert(m.method.clone());
         }
         Expr::StructLit(s) => out.extend(s.path.segments.iter().cloned()),
-        Expr::Lit(l) => {
-            if let Some(s) = l.str_content() {
-                out.extend(format_captures(s));
-            }
-        }
+        Expr::Lit(l) => out.extend(l.format_captures()),
         _ => {}
     }
-}
-
-/// Identifiers captured by a format string: `{NAME}`, `{NAME:?}`.
-fn format_captures(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = s;
-    while let Some(i) = rest.find('{') {
-        rest = &rest[i + 1..];
-        if let Some(r) = rest.strip_prefix('{') {
-            rest = r; // `{{` is a literal brace
-            continue;
-        }
-        let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
-        let name = &rest[..end];
-        let starts_ident = name.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_');
-        if starts_ident && rest[end..].starts_with(['}', ':']) {
-            out.push(name.to_string());
-        }
-    }
-    out
 }
 
 #[cfg(test)]
