@@ -4,8 +4,9 @@
 # `make bench` runs the perf-regression macro suite and refreshes
 # BENCH_sim.json; `make bench-smoke` is the tiny-workload variant (one
 # trial per scenario); `make bench-check` runs the smoke suite and
-# fails if ping-pong or datacenter@1k-hosts throughput drops more
-# than 20% below the committed BENCH_sim.json. `make chaos-smoke` runs the seeded
+# fails if an exact count (ping-pong, datacenter@1k-hosts and volume
+# events, messages, context switches) differs from the committed
+# BENCH_sim.json. `make chaos-smoke` runs the seeded
 # fault-injection sweep over the default 50 seeds (each run twice to
 # prove byte-identical reproduction); for longer soaks run e.g.
 # `cargo run --release -p darms-experiments --bin chaos_sweep -- --seeds 0..5000`.

@@ -152,7 +152,7 @@ fn traced_workload(class: DeviceClass, seed: u64) -> String {
                 launches.push((h, c, ses.kernel_launch(h, "vector_add", args).await.unwrap()));
             }
             for (h, c, l) in launches {
-                ses.kernel_wait(l).await.unwrap();
+                ses.op_wait(l).await.unwrap();
                 let r = as_f64s(&ses.mem_read(h, c, bytes).await.unwrap());
                 sums.push(r.iter().sum::<f64>());
             }

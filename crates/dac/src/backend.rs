@@ -1,8 +1,10 @@
-//! Device back-ends: the common contract every accelerator class in the
-//! fabric fulfils (memory management, kernel dispatch weighting, data
-//! movement, collective capabilities), plus the two concrete back-ends —
-//! [`GpuLikeBackend`] (few devices, large memory, unicast fan-out) and
-//! [`DpuRankLikeBackend`] (many small devices, hardware multicast).
+//! The device back-end: one [`Backend`] type serves every accelerator
+//! class in the fabric (memory management, kernel dispatch weighting,
+//! data movement, collective capabilities). A class is data, not a type:
+//! its [`DeviceClass`] decides the broadcast fan-out (a `GpuLike` device
+//! has few devices, large memory and unicast fan-out; a `DpuRankLike`
+//! rank has many small devices and hardware multicast) and its
+//! [`DeviceProps`] the timing and capacity.
 //!
 //! ## Slicing
 //!
@@ -54,53 +56,15 @@ impl std::fmt::Display for SliceId {
     }
 }
 
-/// The contract a fabric device class fulfils. One boxed backend exists
-/// per accelerator host; daemons of different jobs (one per granted
-/// slice) share it through the runtime's device pool.
-pub trait Backend: Send {
-    /// The device class this backend models.
-    fn class(&self) -> DeviceClass;
-
-    /// Number of slices the device is carved into (1 = unsliced).
-    fn slices_total(&self) -> u32;
-
-    /// The underlying device (timing parameters, kernel buffers).
-    fn device(&self) -> &AccDevice;
-
-    /// Mutable access to the underlying device (kernel bodies).
-    fn device_mut(&mut self) -> &mut AccDevice;
-
-    /// Allocate `size` bytes charged to `slice`'s memory quota.
-    /// [`SliceId::EXCLUSIVE`] bypasses the quota (whole-device semantics).
-    fn mem_alloc(&mut self, slice: SliceId, size: u64) -> Result<DevPtr, DevError>;
-
-    /// Free an allocation, crediting its owner slice's quota. A slice can
-    /// only free its own pointers (cross-slice frees report
-    /// [`DevError::BadPointer`] — the pointer is not visible there).
-    fn mem_free(&mut self, slice: SliceId, ptr: DevPtr) -> Result<(), DevError>;
-
-    /// Kernel dispatch time multiplier for `slice`: 1.0 for the exclusive
-    /// owner, `slices_total` for a slice (its static fair share of the
-    /// dispatch engine).
-    fn dispatch_weight(&self, slice: SliceId) -> f64;
-
-    /// Whether broadcast fan-out from this device uses hardware multicast
-    /// (one setup, payload replicated in the fabric) rather than per-peer
-    /// unicast serialisation.
-    fn multicast(&self) -> bool;
-
-    /// Per-slice memory quota in bytes.
-    fn slice_quota(&self) -> u64 {
-        self.device().props().mem_bytes / u64::from(self.slices_total().max(1))
-    }
-
-    /// Bytes `slice` currently has allocated against its quota.
-    fn slice_used(&self, slice: SliceId) -> u64;
-}
-
-/// Shared slice bookkeeping both concrete back-ends delegate to.
-struct SliceCore {
+/// One accelerator host's device as the fabric sees it: the device, its
+/// class and the per-slice bookkeeping. One instance exists per
+/// accelerator host; daemons of different jobs (one per granted slice)
+/// share it through the runtime's device pool. The classes differ only
+/// in data: their [`DeviceProps`] and whether broadcasts multicast.
+pub struct Backend {
+    class: DeviceClass,
     dev: AccDevice,
+    /// Number of slices the device is carved into (1 = unsliced).
     slices: u32,
     /// Bytes allocated per slice id.
     used: BTreeMap<u32, u64>,
@@ -108,9 +72,11 @@ struct SliceCore {
     owner: BTreeMap<u64, u32>,
 }
 
-impl SliceCore {
-    fn new(props: DeviceProps, slices: u32) -> Self {
-        SliceCore {
+impl Backend {
+    /// A `class` device with `props`, carved into `slices` slices.
+    pub fn new(class: DeviceClass, props: DeviceProps, slices: u32) -> Self {
+        Backend {
+            class,
             dev: AccDevice::new(props),
             slices: slices.max(1),
             used: BTreeMap::new(),
@@ -118,17 +84,25 @@ impl SliceCore {
         }
     }
 
-    fn quota(&self) -> u64 {
-        self.dev.props().mem_bytes / u64::from(self.slices)
+    /// The underlying device (timing parameters, kernel buffers).
+    pub(crate) fn device(&self) -> &AccDevice {
+        &self.dev
     }
 
-    fn alloc(&mut self, slice: SliceId, size: u64) -> Result<DevPtr, DevError> {
+    /// Mutable access to the underlying device (kernel bodies).
+    pub(crate) fn device_mut(&mut self) -> &mut AccDevice {
+        &mut self.dev
+    }
+
+    /// Allocate `size` bytes charged to `slice`'s memory quota.
+    /// [`SliceId::EXCLUSIVE`] bypasses the quota (whole-device semantics).
+    pub fn mem_alloc(&mut self, slice: SliceId, size: u64) -> Result<DevPtr, DevError> {
         if slice.is_exclusive() {
             // Whole-device grant: the pre-fabric path, byte-identical.
             return self.dev.malloc(size);
         }
         let used = self.used.get(&slice.0).copied().unwrap_or(0);
-        let quota = self.quota();
+        let quota = self.dev.props().mem_bytes / u64::from(self.slices);
         if used + size > quota {
             return Err(DevError::OutOfMemory { requested: size, free: quota - used });
         }
@@ -138,7 +112,10 @@ impl SliceCore {
         Ok(ptr)
     }
 
-    fn free(&mut self, slice: SliceId, ptr: DevPtr) -> Result<(), DevError> {
+    /// Free an allocation, crediting its owner slice's quota. A slice can
+    /// only free its own pointers (cross-slice frees report
+    /// [`DevError::BadPointer`] — the pointer is not visible there).
+    pub fn mem_free(&mut self, slice: SliceId, ptr: DevPtr) -> Result<(), DevError> {
         match self.owner.get(&ptr.0) {
             Some(&s) if !slice.is_exclusive() && s != slice.0 => {
                 // Another slice's pointer is not visible here.
@@ -160,7 +137,10 @@ impl SliceCore {
         Ok(())
     }
 
-    fn weight(&self, slice: SliceId) -> f64 {
+    /// Kernel dispatch time multiplier for `slice`: 1.0 for the exclusive
+    /// owner, `slices` for a slice (its static fair share of the dispatch
+    /// engine).
+    pub fn dispatch_weight(&self, slice: SliceId) -> f64 {
         if slice.is_exclusive() {
             1.0
         } else {
@@ -168,7 +148,15 @@ impl SliceCore {
         }
     }
 
-    fn used_by(&self, slice: SliceId) -> u64 {
+    /// Whether broadcast fan-out from this device uses hardware multicast
+    /// (one setup, payload replicated in the fabric) rather than per-peer
+    /// unicast serialisation: only the DPU rank fabric replicates.
+    pub(crate) fn multicast(&self) -> bool {
+        self.class == DeviceClass::DpuRankLike
+    }
+
+    /// Bytes `slice` currently has allocated against its quota.
+    pub fn slice_used(&self, slice: SliceId) -> u64 {
         if slice.is_exclusive() {
             self.dev.used()
         } else {
@@ -177,78 +165,12 @@ impl SliceCore {
     }
 }
 
-macro_rules! delegate_backend {
-    ($ty:ty, $class:expr, $multicast:expr) => {
-        impl Backend for $ty {
-            fn class(&self) -> DeviceClass {
-                $class
-            }
-            fn slices_total(&self) -> u32 {
-                self.core.slices
-            }
-            fn device(&self) -> &AccDevice {
-                &self.core.dev
-            }
-            fn device_mut(&mut self) -> &mut AccDevice {
-                &mut self.core.dev
-            }
-            fn mem_alloc(&mut self, slice: SliceId, size: u64) -> Result<DevPtr, DevError> {
-                self.core.alloc(slice, size)
-            }
-            fn mem_free(&mut self, slice: SliceId, ptr: DevPtr) -> Result<(), DevError> {
-                self.core.free(slice, ptr)
-            }
-            fn dispatch_weight(&self, slice: SliceId) -> f64 {
-                self.core.weight(slice)
-            }
-            fn multicast(&self) -> bool {
-                $multicast
-            }
-            fn slice_used(&self, slice: SliceId) -> u64 {
-                self.core.used_by(slice)
-            }
-        }
-    };
-}
-
-/// The historic accelerator model as a fabric backend: a discrete
-/// GPU-class device (large memory, PCIe-attached). Broadcast fan-out
-/// degenerates to per-peer unicast.
-pub struct GpuLikeBackend {
-    core: SliceCore,
-}
-
-impl GpuLikeBackend {
-    /// Create a GPU-like backend carved into `slices` slices.
-    pub fn new(props: DeviceProps, slices: u32) -> Self {
-        GpuLikeBackend { core: SliceCore::new(props, slices) }
-    }
-}
-
-delegate_backend!(GpuLikeBackend, DeviceClass::GpuLike, false);
-
-/// A near-memory DPU rank as a fabric backend: thousands of small devices
-/// per cluster, modest per-rank memory and bandwidth, but the rank fabric
-/// replicates broadcast payloads in hardware (multicast).
-pub struct DpuRankLikeBackend {
-    core: SliceCore,
-}
-
-impl DpuRankLikeBackend {
-    /// Create a DPU-rank backend carved into `slices` slices.
-    pub fn new(props: DeviceProps, slices: u32) -> Self {
-        DpuRankLikeBackend { core: SliceCore::new(props, slices) }
-    }
-}
-
-delegate_backend!(DpuRankLikeBackend, DeviceClass::DpuRankLike, true);
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn gpu(slices: u32) -> GpuLikeBackend {
-        GpuLikeBackend::new(DeviceProps::tiny(4096), slices)
+    fn gpu(slices: u32) -> Backend {
+        Backend::new(DeviceClass::GpuLike, DeviceProps::tiny(4096), slices)
     }
 
     #[test]
@@ -302,8 +224,6 @@ mod tests {
     #[test]
     fn classes_declare_their_fanout_capability() {
         assert!(!gpu(1).multicast());
-        let d = DpuRankLikeBackend::new(DeviceProps::dpu_rank(), 8);
-        assert!(d.multicast());
-        assert_eq!(d.class(), DeviceClass::DpuRankLike);
+        assert!(Backend::new(DeviceClass::DpuRankLike, DeviceProps::dpu_rank(), 8).multicast());
     }
 }

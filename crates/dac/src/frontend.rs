@@ -2,6 +2,11 @@
 //! and kernel launches on remote accelerators, Listing 1 of the paper)
 //! and the **resource-management API** (`AC_Init`, `AC_Get`, `AC_Free`,
 //! `AC_Finalize`, §II-C/III).
+//!
+//! Every request to a daemon takes the next request id on one path;
+//! replies arrive as the daemon's own `RepBody` and are redeemed as an
+//! acknowledgement, a device pointer or data. [`AcSession::op_wait`]
+//! redeems any asynchronous [`Launch`].
 
 use std::fmt;
 
@@ -75,8 +80,8 @@ impl From<MpiError> for DacError {
     }
 }
 
-/// A pending asynchronous kernel launch; redeem with
-/// [`AcSession::kernel_wait`]. Launching work on several accelerators and
+/// A pending asynchronous kernel launch or host→device transfer; redeem
+/// with [`AcSession::op_wait`]. Launching work on several accelerators and
 /// waiting afterwards is how applications overlap kernels across the set
 /// (the latency-hiding usage the paper's introduction motivates).
 #[derive(Debug)]
@@ -113,7 +118,7 @@ pub struct AcSession {
     /// (multiple asynchronous operations may be in flight per handle).
     /// Keyed by request id alone: ids are unique per session, while ranks
     /// are remapped by shrinks and may alias old traffic.
-    stashed: std::collections::BTreeMap<u64, RepBodyOwned>,
+    stashed: std::collections::BTreeMap<u64, RepBody>,
     /// Request ids whose wait timed out: their reply may still be in
     /// flight (or duplicated by a faulty network) and must be discarded
     /// on arrival instead of being stashed against a future request.
@@ -128,10 +133,10 @@ pub struct AcSession {
 fn file_reply(
     want: u64,
     rep_req: u64,
-    body: RepBodyOwned,
+    body: RepBody,
     tombstones: &mut std::collections::BTreeSet<u64>,
-    stashed: &mut std::collections::BTreeMap<u64, RepBodyOwned>,
-) -> Option<RepBodyOwned> {
+    stashed: &mut std::collections::BTreeMap<u64, RepBody>,
+) -> Option<RepBody> {
     if rep_req == want {
         return Some(body);
     }
@@ -233,17 +238,22 @@ impl AcSession {
         self.comm.ok_or(DacError::BadHandle(AcHandle(usize::MAX)))
     }
 
+    /// Send `body` to the daemon at `rank` under the next request id.
+    fn post(&mut self, comm: Comm, rank: Rank, body: ReqBody, bytes: u64) -> Result<u64, MpiError> {
+        let req = self.next_req;
+        self.next_req += 1;
+        self.mpi.send(comm, rank, TAG_REQ, data(DacRequest { req, body }), bytes).map(|()| req)
+    }
+
     async fn send_req(&mut self, h: AcHandle, body: ReqBody, bytes: u64) -> Result<u64, DacError> {
         let rank = self.rank_of(h)?;
         let comm = self.comm()?;
-        let req = self.next_req;
-        self.next_req += 1;
         if !self.dac.cost.frontend_overhead.is_zero() {
             let overhead = self.dac.cost.frontend_overhead;
             self.mpi.proc().sleep(overhead).await;
         }
-        match self.mpi.send(comm, rank, TAG_REQ, data(DacRequest { req, body }), bytes) {
-            Ok(()) => Ok(req),
+        match self.post(comm, rank, body, bytes) {
+            Ok(req) => Ok(req),
             Err(darms_mpi::MpiError::NetworkFailure) => {
                 // The accelerator host is unreachable (failed): treat it
                 // like a reply timeout — mark the handle lost so later
@@ -257,7 +267,7 @@ impl AcSession {
         }
     }
 
-    async fn wait_reply(&mut self, h: AcHandle, req: u64) -> Result<RepBodyOwned, DacError> {
+    async fn wait_reply(&mut self, h: AcHandle, req: u64) -> Result<RepBody, DacError> {
         let rank = self.rank_of(h)?;
         let comm = self.comm()?;
         let timeout = self.dac.cost.request_timeout;
@@ -280,16 +290,36 @@ impl AcSession {
                 }
             };
             let rep = msg.data.downcast_ref::<DacReply>().expect("TAG_REP carries DacReply");
-            let body = match &rep.body {
-                RepBody::Ptr(r) => RepBodyOwned::Ptr(r.clone()),
-                RepBody::Ack(r) => RepBodyOwned::Ack(r.clone()),
-                RepBody::Data(r) => RepBodyOwned::Data(r.clone()),
-            };
+            let body = rep.body.clone();
             if let Some(body) =
                 file_reply(req, rep.req, body, &mut self.tombstones, &mut self.stashed)
             {
                 return Ok(body);
             }
+        }
+    }
+
+    /// Redeem request `req` whose reply is an acknowledgement.
+    async fn wait_ack(&mut self, h: AcHandle, req: u64) -> Result<(), DacError> {
+        match self.wait_reply(h, req).await? {
+            RepBody::Ack(r) => r.map_err(DacError::Device),
+            RepBody::Ptr(_) | RepBody::Data(_) => unreachable!("request {req} replies with Ack"),
+        }
+    }
+
+    /// Redeem request `req` whose reply is a device pointer.
+    async fn wait_ptr(&mut self, h: AcHandle, req: u64) -> Result<DevPtr, DacError> {
+        match self.wait_reply(h, req).await? {
+            RepBody::Ptr(r) => r.map_err(DacError::Device),
+            RepBody::Ack(_) | RepBody::Data(_) => unreachable!("request {req} replies with Ptr"),
+        }
+    }
+
+    /// Redeem request `req` whose reply carries data.
+    async fn wait_data(&mut self, h: AcHandle, req: u64) -> Result<Vec<u8>, DacError> {
+        match self.wait_reply(h, req).await? {
+            RepBody::Data(r) => r.map_err(DacError::Device),
+            RepBody::Ptr(_) | RepBody::Ack(_) => unreachable!("request {req} replies with Data"),
         }
     }
 
@@ -304,23 +334,13 @@ impl AcSession {
     /// `acMemAlloc`: allocate `size` bytes on the accelerator.
     pub async fn mem_alloc(&mut self, h: AcHandle, size: u64) -> Result<DevPtr, DacError> {
         let req = self.send_req(h, ReqBody::MemAlloc { size }, self.dac.cost.ctl_bytes).await?;
-        match self.wait_reply(h, req).await? {
-            RepBodyOwned::Ptr(r) => r.map_err(DacError::Device),
-            RepBodyOwned::Ack(_) | RepBodyOwned::Data(_) => {
-                unreachable!("MemAlloc replies with Ptr")
-            }
-        }
+        self.wait_ptr(h, req).await
     }
 
     /// `acMemFree`: free device memory.
     pub async fn mem_free(&mut self, h: AcHandle, ptr: DevPtr) -> Result<(), DacError> {
         let req = self.send_req(h, ReqBody::MemFree { ptr }, self.dac.cost.ctl_bytes).await?;
-        match self.wait_reply(h, req).await? {
-            RepBodyOwned::Ack(r) => r.map_err(DacError::Device),
-            RepBodyOwned::Ptr(_) | RepBodyOwned::Data(_) => {
-                unreachable!("MemFree replies with Ack")
-            }
-        }
+        self.wait_ack(h, req).await
     }
 
     /// `acMemCpy` host→device: transfer `bytes` into device memory at
@@ -358,12 +378,7 @@ impl AcSession {
         let req = self
             .send_req(h, ReqBody::CopyD2H { ptr, offset, len }, self.dac.cost.ctl_bytes)
             .await?;
-        match self.wait_reply(h, req).await? {
-            RepBodyOwned::Data(r) => r.map_err(DacError::Device),
-            RepBodyOwned::Ptr(_) | RepBodyOwned::Ack(_) => {
-                unreachable!("CopyD2H replies with Data")
-            }
-        }
+        self.wait_data(h, req).await
     }
 
     /// `acMemCpy` host→device at an offset within the allocation.
@@ -416,18 +431,13 @@ impl AcSession {
         Ok(Launch { handle: h, req })
     }
 
-    /// Wait for an asynchronous memory operation (acknowledgement only).
+    /// Wait for an asynchronous transfer or kernel launch to complete.
     pub async fn op_wait(&mut self, launch: Launch) -> Result<(), DacError> {
-        match self.wait_reply(launch.handle, launch.req).await? {
-            RepBodyOwned::Ack(r) => r.map_err(DacError::Device),
-            RepBodyOwned::Ptr(_) | RepBodyOwned::Data(_) => {
-                unreachable!("memory operations reply with Ack")
-            }
-        }
+        self.wait_ack(launch.handle, launch.req).await
     }
 
     /// `acKernelRun` (asynchronous): launch a registered kernel; redeem
-    /// the [`Launch`] with [`AcSession::kernel_wait`].
+    /// the [`Launch`] with [`AcSession::op_wait`].
     pub async fn kernel_launch(
         &mut self,
         h: AcHandle,
@@ -439,16 +449,6 @@ impl AcSession {
         Ok(Launch { handle: h, req })
     }
 
-    /// Wait for an asynchronous kernel launch to complete.
-    pub async fn kernel_wait(&mut self, launch: Launch) -> Result<(), DacError> {
-        match self.wait_reply(launch.handle, launch.req).await? {
-            RepBodyOwned::Ack(r) => r.map_err(DacError::Device),
-            RepBodyOwned::Ptr(_) | RepBodyOwned::Data(_) => {
-                unreachable!("KernelRun replies with Ack")
-            }
-        }
-    }
-
     /// Synchronous kernel execution: launch and wait.
     pub async fn kernel_run(
         &mut self,
@@ -457,7 +457,7 @@ impl AcSession {
         args: KernelArgs,
     ) -> Result<(), DacError> {
         let l = self.kernel_launch(h, name, args).await?;
-        self.kernel_wait(l).await
+        self.op_wait(l).await
     }
 
     /// Host-free group reduction across a set of accelerators: each
@@ -495,12 +495,7 @@ impl AcSession {
             pending.push((h, req));
         }
         for (h, req) in pending {
-            match self.wait_reply(h, req).await? {
-                RepBodyOwned::Ack(r) => r.map_err(DacError::Device)?,
-                RepBodyOwned::Ptr(_) | RepBodyOwned::Data(_) => {
-                    unreachable!("GroupReduceSum replies with Ack")
-                }
-            }
+            self.wait_ack(h, req).await?;
         }
         // Fetch the total from the group root's device.
         let bytes = self.mem_read(root_handle, out, 8).await?;
@@ -539,12 +534,7 @@ impl AcSession {
             pending.push((h, self.send_req(h, body, self.dac.cost.ctl_bytes).await?));
         }
         for (h, req) in pending {
-            match self.wait_reply(h, req).await? {
-                RepBodyOwned::Ack(r) => r.map_err(DacError::Device)?,
-                RepBodyOwned::Ptr(_) | RepBodyOwned::Data(_) => {
-                    unreachable!("broadcast participants reply with Ack")
-                }
-            }
+            self.wait_ack(h, req).await?;
         }
         Ok(())
     }
@@ -574,19 +564,9 @@ impl AcSession {
             pending.push((h, self.send_req(h, body, self.dac.cost.ctl_bytes).await?));
         }
         for (h, req) in pending {
-            match self.wait_reply(h, req).await? {
-                RepBodyOwned::Ack(r) => r.map_err(DacError::Device)?,
-                RepBodyOwned::Ptr(_) | RepBodyOwned::Data(_) => {
-                    unreachable!("GatherSend replies with Ack")
-                }
-            }
+            self.wait_ack(h, req).await?;
         }
-        match self.wait_reply(root, root_req).await? {
-            RepBodyOwned::Data(r) => r.map_err(DacError::Device),
-            RepBodyOwned::Ptr(_) | RepBodyOwned::Ack(_) => {
-                unreachable!("Gather replies with Data")
-            }
-        }
+        self.wait_data(root, root_req).await
     }
 
     // ----- resource-management API (AC_Get / AC_Free / AC_Finalize) ------
@@ -714,18 +694,8 @@ impl AcSession {
         let local = match self.comm {
             Some(c) => {
                 for h in self.live_handles() {
-                    let req = self.next_req;
-                    self.next_req += 1;
                     let rank = self.rank_of(h).expect("live");
-                    self.mpi
-                        .send(
-                            c,
-                            rank,
-                            TAG_REQ,
-                            data(DacRequest { req, body: ReqBody::Grow }),
-                            self.dac.cost.ctl_bytes,
-                        )
-                        .map_err(DacError::Mpi)?;
+                    self.post(c, rank, ReqBody::Grow, self.dac.cost.ctl_bytes)?;
                 }
                 c
             }
@@ -800,31 +770,12 @@ impl AcSession {
             self.live_handles().into_iter().filter(|h| !set.handles.contains(h)).collect();
         for h in &survivors {
             let rank = self.rank_of(*h).expect("live");
-            let req = self.next_req;
-            self.next_req += 1;
-            self.mpi
-                .send(
-                    comm,
-                    rank,
-                    TAG_REQ,
-                    data(DacRequest { req, body: ReqBody::Shrink { removed: removed.clone() } }),
-                    self.dac.cost.ctl_bytes,
-                )
-                .map_err(DacError::Mpi)?;
+            let body = ReqBody::Shrink { removed: removed.clone() };
+            self.post(comm, rank, body, self.dac.cost.ctl_bytes)?;
         }
         for h in &set.handles {
             if let Ok(rank) = self.rank_of(*h) {
-                let req = self.next_req;
-                self.next_req += 1;
-                self.mpi
-                    .send(
-                        comm,
-                        rank,
-                        TAG_REQ,
-                        data(DacRequest { req, body: ReqBody::Release }),
-                        self.dac.cost.ctl_bytes,
-                    )
-                    .map_err(DacError::Mpi)?;
+                self.post(comm, rank, ReqBody::Release, self.dac.cost.ctl_bytes)?;
             }
         }
         let new_comm = self.mpi.comm_shrink(comm, &removed).await?;
@@ -855,15 +806,7 @@ impl AcSession {
         if let Some(comm) = self.comm {
             for h in self.live_handles() {
                 let rank = self.rank_of(h).expect("live");
-                let req = self.next_req;
-                self.next_req += 1;
-                let _ = self.mpi.send(
-                    comm,
-                    rank,
-                    TAG_REQ,
-                    data(DacRequest { req, body: ReqBody::Release }),
-                    self.dac.cost.ctl_bytes,
-                );
+                let _ = self.post(comm, rank, ReqBody::Release, self.dac.cost.ctl_bytes);
             }
             self.mpi.comm_disconnect(comm);
         }
@@ -873,20 +816,13 @@ impl AcSession {
     }
 }
 
-/// Owned reply body (decoupled from the shared `Arc` message).
-enum RepBodyOwned {
-    Ptr(Result<DevPtr, String>),
-    Ack(Result<(), String>),
-    Data(Result<Vec<u8>, String>),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::{BTreeMap, BTreeSet};
 
-    fn ack() -> RepBodyOwned {
-        RepBodyOwned::Ack(Ok(()))
+    fn ack() -> RepBody {
+        RepBody::Ack(Ok(()))
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod kernel;
 pub mod runtime;
 pub mod starter;
 
-pub use backend::{Backend, DpuRankLikeBackend, GpuLikeBackend, SliceId};
+pub use backend::{Backend, SliceId};
 pub use collective::TaskComm;
 pub use cost::DacCostModel;
 pub use device::{as_f64s, f64s_to_bytes, AccDevice, DevError, DevPtr, DeviceProps};

@@ -2,18 +2,23 @@
 //! pool) and the accelerator **back-end daemon** — the per-accelerator
 //! process of the paper's Fig. 3 that receives computation requests over
 //! MPI and executes them on the device through the driver API.
+//!
+//! The device pool holds one [`Backend`] per accelerator host, built from
+//! the host's [`FabricHostSpec`]. The daemon answers a duplicated request
+//! from a [`ReplyCache`] instead of executing it twice; every replying
+//! request ends in one tail that caches the reply and sends it.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use darms_mpi::{data, Comm, MpiProc, MpiRuntime, Rank};
-use darms_net::HostId;
+use darms_net::{Admit, HostId, ReplyCache};
 use darms_rms::proto::DeviceClass;
 use darms_rms::{JobId, PseudoFs};
 use darms_sim::SimDuration;
 use parking_lot::Mutex;
 
-use crate::backend::{Backend, DpuRankLikeBackend, GpuLikeBackend, SliceId};
+use crate::backend::{Backend, SliceId};
 use crate::cost::DacCostModel;
 use crate::device::{DevPtr, DeviceProps};
 use crate::kernel::{KernelArgs, KernelRegistry};
@@ -144,7 +149,7 @@ pub struct DacRuntime {
 }
 
 /// One host's backend instance, shared between its resident daemons.
-type SharedBackend = Arc<Mutex<Box<dyn Backend>>>;
+type SharedBackend = Arc<Mutex<Backend>>;
 
 impl DacRuntime {
     /// Create the runtime and register the daemon executable with the MPI
@@ -228,22 +233,17 @@ impl DacRuntime {
     /// The device backend attached to `host` (created on first use). One
     /// backend per accelerator host, matching Fig. 1(b); its class and
     /// slicing come from the registered [`FabricHostSpec`].
-    pub fn device_for(&self, host: HostId) -> Arc<Mutex<Box<dyn Backend>>> {
-        let spec = self.fabric_spec(host);
+    fn device_for(&self, host: HostId) -> SharedBackend {
+        let spec = self.fabric_spec(host).unwrap_or(FabricHostSpec {
+            class: DeviceClass::GpuLike,
+            slices: 1,
+            props: self.device_props,
+        });
         self.devices
             .lock()
             .entry(host.index())
             .or_insert_with(|| {
-                let backend: Box<dyn Backend> = match spec {
-                    Some(FabricHostSpec { class: DeviceClass::DpuRankLike, slices, props }) => {
-                        Box::new(DpuRankLikeBackend::new(props, slices))
-                    }
-                    Some(FabricHostSpec { class: DeviceClass::GpuLike, slices, props }) => {
-                        Box::new(GpuLikeBackend::new(props, slices))
-                    }
-                    None => Box::new(GpuLikeBackend::new(self.device_props, 1)),
-                };
-                Arc::new(Mutex::new(backend))
+                Arc::new(Mutex::new(Backend::new(spec.class, spec.props, spec.slices)))
             })
             .clone()
     }
@@ -325,30 +325,25 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
     let overhead = dac.cost.request_overhead;
     // Idempotency: request ids already executed, with the reply (if any)
     // for replay, so a duplicated request never runs its side effects
-    // twice. Bounded FIFO eviction.
-    let mut seen: std::collections::BTreeMap<u64, Option<RepBody>> =
-        std::collections::BTreeMap::new();
-    let mut seen_order: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    const SEEN_CAP: usize = 256;
+    // twice. The loop serves one request at a time, so nothing is evicted
+    // between a request's `admit` and its `store`.
+    let mut reply_cache: ReplyCache<RepBody> = ReplyCache::new(256);
     loop {
         let msg = mpi.recv(comm, Some(0), Some(TAG_REQ)).await;
         let request =
             msg.data.downcast_ref::<DacRequest>().expect("TAG_REQ messages carry DacRequest");
         let req = request.req;
-        if let Some(cached) = seen.get(&req) {
-            if let Some(body) = cached.clone() {
-                reply(&mpi, comm, req, body, &dac);
-            }
-            continue;
-        }
-        seen.insert(req, None);
-        seen_order.push_back(req);
-        if seen_order.len() > SEEN_CAP {
-            if let Some(old) = seen_order.pop_front() {
-                seen.remove(&old);
+        match reply_cache.admit(req) {
+            Admit::Fresh => {}
+            Admit::InFlight => continue,
+            Admit::Done(body) => {
+                reply(&mpi, comm, req, body, dac.cost.ctl_bytes);
+                continue;
             }
         }
-        match &request.body {
+        // Each replying arm yields its body and the payload bytes the
+        // reply carries beyond the control header.
+        let (body, payload_bytes) = match &request.body {
             ReqBody::Grow => {
                 let inter = mpi
                     .comm_spawn(comm, DAEMON_EXE, &[], &[])
@@ -358,11 +353,13 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
                 mpi.comm_disconnect(inter);
                 mpi.comm_disconnect(comm); // superseded session comm
                 comm = merged;
+                continue;
             }
             ReqBody::Shrink { removed } => {
                 let shrunk = mpi.comm_shrink(comm, removed).await.expect("daemon joins shrink");
                 mpi.comm_disconnect(comm); // superseded session comm
                 comm = shrunk;
+                continue;
             }
             ReqBody::Release => {
                 for p in std::mem::take(&mut my_ptrs) {
@@ -379,9 +376,7 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
                 if let Ok(p) = &r {
                     my_ptrs.insert(*p);
                 }
-                let body = RepBody::Ptr(r.map_err(|e| e.to_string()));
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                (RepBody::Ptr(r.map_err(|e| e.to_string())), 0)
             }
             ReqBody::MemFree { ptr } => {
                 if !overhead.is_zero() {
@@ -389,9 +384,7 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
                 }
                 let r = device.lock().mem_free(slice, *ptr);
                 my_ptrs.remove(ptr);
-                let body = RepBody::Ack(r.map_err(|e| e.to_string()));
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                (RepBody::Ack(r.map_err(|e| e.to_string())), 0)
             }
             ReqBody::CopyH2D { ptr, offset, payload, overlap_credit } => {
                 let dev_time = device.lock().device().props().h2d_time(payload.len() as u64);
@@ -401,9 +394,7 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
                     mpi.proc().sleep(d).await;
                 }
                 let r = device.lock().device_mut().write(*ptr, *offset, payload);
-                let body = RepBody::Ack(r.map_err(|e| e.to_string()));
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                (RepBody::Ack(r.map_err(|e| e.to_string())), 0)
             }
             ReqBody::CopyD2H { ptr, offset, len } => {
                 let d = overhead + device.lock().device().props().d2h_time(*len);
@@ -412,52 +403,37 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
                 }
                 let r = device.lock().device().read(*ptr, *offset, *len);
                 let bytes = r.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-                let body = RepBody::Data(r.map_err(|e| e.to_string()));
-                seen.insert(req, Some(body.clone()));
-                let rep = DacReply { req, body };
-                let _ = mpi.send(comm, 0, TAG_REP, data(rep), dac.cost.ctl_bytes + bytes);
+                (RepBody::Data(r.map_err(|e| e.to_string())), bytes)
             }
             ReqBody::GroupReduceSum { ptr, elems, out, peers } => {
-                let result =
-                    group_reduce_sum(&mut mpi, &dac, comm, &device, *ptr, *elems, *out, peers)
-                        .await;
-                let body = RepBody::Ack(result);
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                let r = group_reduce_sum(&mut mpi, &dac, comm, &device, *ptr, *elems, *out, peers)
+                    .await;
+                (RepBody::Ack(r), 0)
             }
             ReqBody::Broadcast { ptr, payload, peers } => {
-                let result = bcast_root(&mut mpi, &dac, comm, &device, *ptr, payload, peers).await;
-                let body = RepBody::Ack(result);
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                let r = bcast_root(&mut mpi, &dac, comm, &device, *ptr, payload, peers).await;
+                (RepBody::Ack(r), 0)
             }
             ReqBody::BcastRecv { ptr, root } => {
-                let result = bcast_recv(&mut mpi, &dac, comm, &device, *ptr, *root).await;
-                let body = RepBody::Ack(result);
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                let r = bcast_recv(&mut mpi, &dac, comm, &device, *ptr, *root).await;
+                (RepBody::Ack(r), 0)
             }
             ReqBody::Gather { ptr, len, peers } => {
                 let r = gather_root(&mut mpi, &dac, comm, &device, *ptr, *len, peers).await;
                 let bytes = r.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-                let body = RepBody::Data(r);
-                seen.insert(req, Some(body.clone()));
-                let rep = DacReply { req, body };
-                let _ = mpi.send(comm, 0, TAG_REP, data(rep), dac.cost.ctl_bytes + bytes);
+                (RepBody::Data(r), bytes)
             }
             ReqBody::GatherSend { ptr, len, root } => {
-                let result = gather_send(&mut mpi, &dac, comm, &device, *ptr, *len, *root).await;
-                let body = RepBody::Ack(result);
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                let r = gather_send(&mut mpi, &dac, comm, &device, *ptr, *len, *root).await;
+                (RepBody::Ack(r), 0)
             }
             ReqBody::KernelRun { name, args } => {
-                let result = match dac.kernels.get(name) {
+                let r = match dac.kernels.get(name) {
                     Some(k) => {
                         let props = device.lock().device().props();
                         let mut cost = (k.cost)(args, &props);
                         // Static fair share of the dispatch engine: a
-                        // slice's kernels run slices_total× slower. Guarded
+                        // slice's kernels run `slices`× slower. Guarded
                         // so the exclusive path is arithmetically untouched.
                         let w = device.lock().dispatch_weight(slice);
                         if w != 1.0 {
@@ -471,17 +447,18 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
                     }
                     None => Err(format!("unknown kernel '{name}'")),
                 };
-                let body = RepBody::Ack(result);
-                seen.insert(req, Some(body.clone()));
-                reply(&mpi, comm, req, body, &dac);
+                (RepBody::Ack(r), 0)
             }
-        }
+        };
+        reply_cache.store(req, body.clone());
+        reply(&mpi, comm, req, body, dac.cost.ctl_bytes + payload_bytes);
     }
 }
 
-fn reply(mpi: &MpiProc, comm: Comm, req: u64, body: RepBody, dac: &DacRuntime) {
-    let rep = DacReply { req, body };
-    let _ = mpi.send(comm, 0, TAG_REP, data(rep), dac.cost.ctl_bytes);
+/// Send `body` to the front end (rank 0) as `bytes` on the wire. A
+/// replayed reply travels as `ctl_bytes` alone, even a `Data` one.
+fn reply(mpi: &MpiProc, comm: Comm, req: u64, body: RepBody, bytes: u64) {
+    let _ = mpi.send(comm, 0, TAG_REP, data(DacReply { req, body }), bytes);
 }
 
 /// Daemon-side group reduction: partial sums travel peer-to-peer over the
@@ -492,7 +469,7 @@ async fn group_reduce_sum(
     mpi: &mut MpiProc,
     dac: &DacRuntime,
     comm: Comm,
-    device: &Arc<Mutex<Box<dyn Backend>>>,
+    device: &SharedBackend,
     ptr: DevPtr,
     elems: u64,
     out: DevPtr,
@@ -539,7 +516,7 @@ async fn bcast_root(
     mpi: &mut MpiProc,
     dac: &DacRuntime,
     comm: Comm,
-    device: &Arc<Mutex<Box<dyn Backend>>>,
+    device: &SharedBackend,
     ptr: DevPtr,
     payload: &Arc<Vec<u8>>,
     peers: &[(Rank, DevPtr)],
@@ -582,7 +559,7 @@ async fn bcast_recv(
     mpi: &mut MpiProc,
     dac: &DacRuntime,
     comm: Comm,
-    device: &Arc<Mutex<Box<dyn Backend>>>,
+    device: &SharedBackend,
     ptr: DevPtr,
     root: Rank,
 ) -> Result<(), String> {
@@ -609,7 +586,7 @@ async fn gather_root(
     mpi: &mut MpiProc,
     dac: &DacRuntime,
     comm: Comm,
-    device: &Arc<Mutex<Box<dyn Backend>>>,
+    device: &SharedBackend,
     ptr: DevPtr,
     len: u64,
     peers: &[Rank],
@@ -636,7 +613,7 @@ async fn gather_send(
     mpi: &mut MpiProc,
     dac: &DacRuntime,
     comm: Comm,
-    device: &Arc<Mutex<Box<dyn Backend>>>,
+    device: &SharedBackend,
     ptr: DevPtr,
     len: u64,
     root: Rank,

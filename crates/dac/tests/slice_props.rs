@@ -6,19 +6,16 @@
 //! both fabric device classes against a hog-free reference execution
 //! of the same tenant op sequence.
 
-use darms_dac::{Backend, DpuRankLikeBackend, GpuLikeBackend, SliceId};
+use darms_dac::{Backend, SliceId};
+use darms_rms::proto::DeviceClass;
 use proptest::prelude::*;
 
 const MEM: u64 = 4096;
 const SIZES: [u64; 7] = [1, 64, 256, 512, 1024, 2048, 4096];
 
-fn make(class: u8, slices: u32) -> Box<dyn Backend> {
-    let props = darms_dac::DeviceProps::tiny(MEM);
-    if class == 0 {
-        Box::new(GpuLikeBackend::new(props, slices))
-    } else {
-        Box::new(DpuRankLikeBackend::new(props, slices))
-    }
+fn make(class: u8, slices: u32) -> Backend {
+    let class = if class == 0 { DeviceClass::GpuLike } else { DeviceClass::DpuRankLike };
+    Backend::new(class, darms_dac::DeviceProps::tiny(MEM), slices)
 }
 
 /// Abstract outcome of one op, with device pointers erased so runs with
@@ -40,7 +37,7 @@ type Op = (u8, u8);
 /// Apply one op for `slice`, tracking its live pointers, and return the
 /// abstract outcome plus the slice's accounted usage afterwards.
 fn step(
-    b: &mut dyn Backend,
+    b: &mut Backend,
     slice: SliceId,
     live: &mut Vec<darms_dac::DevPtr>,
     op: Op,
@@ -95,7 +92,7 @@ proptest! {
             let mut b = make(class, slices);
             let mut live = Vec::new();
             for &op in &tenant_ops {
-                reference.push(step(b.as_mut(), tenant, &mut live, op));
+                reference.push(step(&mut b, tenant, &mut live, op));
             }
         }
 
@@ -110,17 +107,17 @@ proptest! {
         for &tenant_turn in &schedule {
             if tenant_turn == 1 {
                 if let Some(&op) = ti.next() {
-                    observed.push(step(b.as_mut(), tenant, &mut t_live, op));
+                    observed.push(step(&mut b, tenant, &mut t_live, op));
                 }
             } else if let Some(&op) = hi.next() {
-                let _ = step(b.as_mut(), hog, &mut h_live, op);
+                let _ = step(&mut b, hog, &mut h_live, op);
             }
         }
         for &op in ti {
-            observed.push(step(b.as_mut(), tenant, &mut t_live, op));
+            observed.push(step(&mut b, tenant, &mut t_live, op));
         }
         for &op in hi {
-            let _ = step(b.as_mut(), hog, &mut h_live, op);
+            let _ = step(&mut b, hog, &mut h_live, op);
         }
 
         prop_assert_eq!(&observed, &reference,

@@ -17,12 +17,14 @@
 //! [`RetryPolicy`] is the companion knob: the capped-exponential-backoff
 //! budget the RMS control plane and DAC front-end use to survive an
 //! installed plan. With no plan and no policy the hot path is unchanged
-//! (see the `bench-check` target).
+//! (see the `bench-check` target). [`ReplyCache`] is the server half of
+//! the same discipline: a retransmitted request is answered from the
+//! cache instead of executing twice.
 
 use darms_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::host::HostId;
 
@@ -188,6 +190,62 @@ impl RetryPolicy {
     }
 }
 
+/// Bounded idempotency cache of a request/reply server: correlation
+/// token → the reply already sent, or in flight while the request still
+/// executes. Tokens are evicted first-in first-out beyond `cap`. Shared by
+/// `pbs_server` (IFL requests) and the DAC daemon (front-end requests).
+#[derive(Debug)]
+pub struct ReplyCache<T> {
+    entries: BTreeMap<u64, Option<T>>,
+    order: VecDeque<u64>,
+    cap: usize,
+}
+
+/// What [`ReplyCache::admit`] found for a token.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Admit<T> {
+    /// First sighting, now in flight: execute the request.
+    Fresh,
+    /// A duplicate of a request still executing: stay silent.
+    InFlight,
+    /// A duplicate of a completed request: resend this reply.
+    Done(T),
+}
+
+impl<T: Clone> ReplyCache<T> {
+    /// An empty cache remembering at most `cap` tokens.
+    pub fn new(cap: usize) -> Self {
+        ReplyCache { entries: BTreeMap::new(), order: VecDeque::new(), cap }
+    }
+
+    /// Look `token` up; a fresh token is marked in flight (evicting the
+    /// oldest token beyond the cap).
+    pub fn admit(&mut self, token: u64) -> Admit<T> {
+        match self.entries.get(&token) {
+            Some(Some(reply)) => Admit::Done(reply.clone()),
+            Some(None) => Admit::InFlight,
+            None => {
+                self.entries.insert(token, None);
+                self.order.push_back(token);
+                if self.order.len() > self.cap {
+                    if let Some(old) = self.order.pop_front() {
+                        self.entries.remove(&old);
+                    }
+                }
+                Admit::Fresh
+            }
+        }
+    }
+
+    /// Record the reply sent for `token`. A token evicted since its
+    /// `admit` stays evicted.
+    pub fn store(&mut self, token: u64, reply: T) {
+        if let Some(slot) = self.entries.get_mut(&token) {
+            *slot = Some(reply);
+        }
+    }
+}
+
 /// The verdict for one message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Verdict {
@@ -265,6 +323,53 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reply_cache_admits_a_fresh_token() {
+        let mut c = ReplyCache::<u32>::new(4);
+        assert_eq!(c.admit(7), Admit::Fresh);
+    }
+
+    #[test]
+    fn reply_cache_is_silent_on_a_duplicate_in_flight() {
+        let mut c = ReplyCache::<u32>::new(4);
+        c.admit(7);
+        assert_eq!(c.admit(7), Admit::InFlight);
+    }
+
+    #[test]
+    fn reply_cache_replays_the_stored_reply() {
+        let mut c = ReplyCache::new(4);
+        c.admit(7);
+        c.store(7, 70u32);
+        assert_eq!(c.admit(7), Admit::Done(70));
+        assert_eq!(c.admit(7), Admit::Done(70), "a replay leaves the entry cached");
+    }
+
+    #[test]
+    fn reply_cache_evicts_the_oldest_token_first() {
+        let mut c = ReplyCache::new(2);
+        for t in 1..=2 {
+            c.admit(t);
+            c.store(t, t * 10);
+        }
+        c.admit(3); // evicts 1, the oldest
+        assert_eq!(c.admit(2), Admit::Done(20));
+        assert_eq!(c.admit(3), Admit::InFlight);
+        // The evicted token is fresh again (and evicts 2 in turn).
+        assert_eq!(c.admit(1), Admit::Fresh);
+        assert_eq!(c.admit(2), Admit::Fresh);
+    }
+
+    #[test]
+    fn reply_cache_store_does_not_reinsert_an_evicted_token() {
+        let mut c = ReplyCache::new(1);
+        c.admit(1);
+        c.admit(2); // evicts 1 while it is still in flight
+        c.store(1, 10u32);
+        assert_eq!(c.admit(2), Admit::InFlight);
+        assert_eq!(c.admit(1), Admit::Fresh, "a late store must not resurrect token 1");
+    }
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)

@@ -40,7 +40,7 @@ mod host;
 mod latency;
 mod network;
 
-pub use fault::{FaultPlan, LinkFaults, Outage, Partition, RetryPolicy};
+pub use fault::{Admit, FaultPlan, LinkFaults, Outage, Partition, ReplyCache, RetryPolicy};
 pub use host::{ports, Address, Host, HostId, HostKind, Port};
 pub use latency::LatencyModel;
 pub use network::{NetStats, Network, SendOutcome};

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use darms_net::{Address, HostId, Network};
+use darms_net::{Address, Admit, HostId, Network, ReplyCache};
 use darms_sim::{Actor, Ctx, Envelope, SimTime};
 use parking_lot::Mutex;
 
@@ -262,9 +262,6 @@ enum CachedResp {
     DynFree(DynFreeResp),
 }
 
-/// Bound on the idempotency cache (tokens evicted FIFO).
-const IFL_CACHE_CAP: usize = 4096;
-
 /// Reserved timer token for the retransmit tick (deferred actions use
 /// tokens from 1 upward).
 const TOKEN_RETRY: u64 = 0;
@@ -325,11 +322,10 @@ pub struct PbsServer {
     dyns: DynService,
     deferred: BTreeMap<u64, Deferred>,
     next_timer: u64,
-    /// Idempotency cache: correlation token -> in-flight (`None`) or the
-    /// reply already sent (`Some`), so duplicate requests caused by
+    /// Idempotency cache of mutating IFL requests, keyed by correlation
+    /// token (4096 tokens, evicted FIFO), so duplicate requests caused by
     /// client retransmits never re-execute.
-    ifl_seen: BTreeMap<u64, Option<(Address, CachedResp)>>,
-    ifl_order: VecDeque<u64>,
+    reply_cache: ReplyCache<(Address, CachedResp)>,
     /// Released dynamic sets whose `FreeDone` has not arrived yet; the
     /// retransmit tick re-drives the `DisjoinCmd`.
     pending_frees: BTreeMap<ClientId, (JobId, DynSet)>,
@@ -359,8 +355,7 @@ impl PbsServer {
             dyns: DynService::default(),
             deferred: BTreeMap::new(),
             next_timer: 1,
-            ifl_seen: BTreeMap::new(),
-            ifl_order: VecDeque::new(),
+            reply_cache: ReplyCache::new(4096),
             pending_frees: BTreeMap::new(),
             snap_last_token: None,
         }
@@ -377,35 +372,25 @@ impl PbsServer {
     /// True if a duplicate of an already-accepted request was handled
     /// (cached reply re-sent, or silence while the original is still in
     /// flight). False admits the request and marks its token in flight.
-    fn dedup_hit(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
-        match self.ifl_seen.get(&token) {
-            Some(Some((to, resp))) => {
-                let (to, resp) = (*to, resp.clone());
-                self.resend_cached(ctx, to, resp);
+    fn duplicate(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
+        match self.reply_cache.admit(token) {
+            Admit::Fresh => false,
+            Admit::InFlight => true,
+            Admit::Done((to, resp)) => {
+                self.send_resp(ctx, to, resp);
                 true
             }
-            Some(None) => true,
-            None => {
-                self.ifl_seen.insert(token, None);
-                self.ifl_order.push_back(token);
-                if self.ifl_order.len() > IFL_CACHE_CAP {
-                    if let Some(old) = self.ifl_order.pop_front() {
-                        self.ifl_seen.remove(&old);
-                    }
-                }
-                false
-            }
         }
     }
 
-    /// Record the reply sent for `token` so duplicates can be re-answered.
-    fn dedup_store(&mut self, token: u64, to: Address, resp: CachedResp) {
-        if let Some(slot) = self.ifl_seen.get_mut(&token) {
-            *slot = Some((to, resp));
-        }
+    /// Reply to the request under `token` and cache the reply, so a
+    /// duplicate is re-answered without re-executing.
+    fn answer(&mut self, ctx: &mut Ctx<'_>, token: u64, to: Address, resp: CachedResp) {
+        self.reply_cache.store(token, (to, resp.clone()));
+        self.send_resp(ctx, to, resp);
     }
 
-    fn resend_cached(&mut self, ctx: &mut Ctx<'_>, to: Address, resp: CachedResp) {
+    fn send_resp(&mut self, ctx: &mut Ctx<'_>, to: Address, resp: CachedResp) {
         match resp {
             CachedResp::Qsub(r) => self.reply(ctx, to, r),
             CachedResp::Qdel(r) => self.reply(ctx, to, r),
@@ -459,7 +444,7 @@ impl PbsServer {
     // -- qsub ----------------------------------------------------------
 
     fn handle_qsub(&mut self, ctx: &mut Ctx<'_>, req: QsubReq) {
-        if self.dedup_hit(ctx, req.token) {
+        if self.duplicate(ctx, req.token) {
             return;
         }
         self.defer(ctx, self.cost.qsub_handling, Deferred::QsubDone { req });
@@ -485,9 +470,7 @@ impl PbsServer {
         };
         ctx.trace(format_args!("{id} queued ({})", rec.spec.name));
         self.jobs.insert(id, rec);
-        let resp = QsubResp { token, job: id };
-        self.dedup_store(token, reply, CachedResp::Qsub(resp.clone()));
-        self.reply(ctx, reply, resp);
+        self.answer(ctx, token, reply, CachedResp::Qsub(QsubResp { token, job: id }));
         self.wake_scheduler(ctx);
     }
 
@@ -624,7 +607,7 @@ impl PbsServer {
     // -- dynamic requests (the paper's extension) ------------------------
 
     fn handle_dynget(&mut self, ctx: &mut Ctx<'_>, req: DynGetReq) {
-        if self.dedup_hit(ctx, req.token) {
+        if self.duplicate(ctx, req.token) {
             return;
         }
         let valid = self
@@ -633,8 +616,7 @@ impl PbsServer {
             .is_some_and(|j| matches!(j.state, JobState::Running | JobState::DynQueued));
         if !valid || req.count == 0 {
             let resp = DynGetResp { token: req.token, result: Err(DynReject::BadJob) };
-            self.dedup_store(req.token, req.reply, CachedResp::DynGet(resp.clone()));
-            self.reply(ctx, req.reply, resp);
+            self.answer(ctx, req.token, req.reply, CachedResp::DynGet(resp));
             return;
         }
         let token = self.next_dyn_token;
@@ -801,15 +783,14 @@ impl PbsServer {
         };
         ctx.metrics().observe_duration("rms.dyn_wait", now.since(p.arrived));
         let resp = DynGetResp { token: p.client_token, result };
-        self.dedup_store(p.client_token, p.reply, CachedResp::DynGet(resp.clone()));
-        self.reply(ctx, p.reply, resp);
+        self.answer(ctx, p.client_token, p.reply, CachedResp::DynGet(resp));
         self.maybe_start_dyn(ctx);
     }
 
     // -- release ---------------------------------------------------------
 
     fn handle_dynfree(&mut self, ctx: &mut Ctx<'_>, req: DynFreeReq) {
-        if self.dedup_hit(ctx, req.token) {
+        if self.duplicate(ctx, req.token) {
             return;
         }
         let known = self
@@ -818,8 +799,7 @@ impl PbsServer {
             .is_some_and(|j| j.dyn_sets.iter().any(|s| s.client_id == req.client_id));
         if !known {
             let resp = DynFreeResp { token: req.token, ok: false };
-            self.dedup_store(req.token, req.reply, CachedResp::DynFree(resp.clone()));
-            self.reply(ctx, req.reply, resp);
+            self.answer(ctx, req.token, req.reply, CachedResp::DynFree(resp));
             return;
         }
         self.defer(ctx, self.cost.dyn_free_handling, Deferred::DynFreeDo { req });
@@ -829,9 +809,7 @@ impl PbsServer {
         let DynFreeReq { token, job, client_id, reply } = req;
         // Positive reply immediately; disassociation continues behind the
         // application's back (§III-D).
-        let resp = DynFreeResp { token, ok: true };
-        self.dedup_store(token, reply, CachedResp::DynFree(resp.clone()));
-        self.reply(ctx, reply, resp);
+        self.answer(ctx, token, reply, CachedResp::DynFree(DynFreeResp { token, ok: true }));
         let Some(rec) = self.jobs.get(&job) else { return };
         let Some(set) = rec.dyn_sets.iter().find(|s| s.client_id == client_id).cloned() else {
             return;
@@ -1029,7 +1007,7 @@ impl PbsServer {
     /// jobs only via checkpointing, which the DAC architecture does not
     /// model); only held jobs can be released.
     fn handle_qhold(&mut self, ctx: &mut Ctx<'_>, req: QholdReq) {
-        if self.dedup_hit(ctx, req.token) {
+        if self.duplicate(ctx, req.token) {
             return;
         }
         let ok = match self.jobs.get_mut(&req.job) {
@@ -1046,15 +1024,14 @@ impl PbsServer {
             _ => false,
         };
         let resp = QholdResp { token: req.token, ok };
-        self.dedup_store(req.token, req.reply, CachedResp::Qhold(resp.clone()));
-        self.reply(ctx, req.reply, resp);
+        self.answer(ctx, req.token, req.reply, CachedResp::Qhold(resp));
         if ok && !req.hold {
             self.wake_scheduler(ctx);
         }
     }
 
     fn handle_qdel(&mut self, ctx: &mut Ctx<'_>, req: QdelReq) {
-        if self.dedup_hit(ctx, req.token) {
+        if self.duplicate(ctx, req.token) {
             return;
         }
         let hardened = self.net.retry_policy().is_some();
@@ -1085,9 +1062,7 @@ impl PbsServer {
             }
             _ => false,
         };
-        let resp = QdelResp { token: req.token, ok };
-        self.dedup_store(req.token, req.reply, CachedResp::Qdel(resp.clone()));
-        self.reply(ctx, req.reply, resp);
+        self.answer(ctx, req.token, req.reply, CachedResp::Qdel(QdelResp { token: req.token, ok }));
         if ok && was_active && hardened {
             self.purge_dyns_for(ctx, req.job);
             self.purge_frees_for(req.job);

@@ -41,29 +41,13 @@ pub(crate) enum EventKind {
     Timer { actor: ActorId, token: u64, gen: u64 },
 }
 
-/// An entry in the event queue, ordered by `(time, seq)` so that
-/// simultaneous events fire in scheduling order (deterministic).
+/// An entry in the event queue. The queue pops entries in `(time, seq)`
+/// order, so simultaneous events fire in scheduling order
+/// (deterministic).
 pub(crate) struct Scheduled {
     pub time: SimTime,
     pub seq: u64,
     pub kind: EventKind,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// A process parked by [`Proc::poll_until`](crate::Proc::poll_until):
@@ -378,20 +362,6 @@ impl Kernel {
         slot.epoch
     }
 
-    /// Record an instant trace event attributed to the kernel itself
-    /// (no-op unless tracing is enabled).
-    pub fn trace(&mut self, source: &str, event: impl Into<String>) {
-        let now = self.now;
-        self.tracer.emit_with(|| TraceEvent {
-            time: now,
-            source: TraceSource::Kernel,
-            source_name: Arc::from(source),
-            name: event.into(),
-            detail: String::new(),
-            kind: TraceEventKind::Instant,
-        });
-    }
-
     /// Record an instant trace event with a typed source (no-op unless
     /// tracing is enabled; `event` is only formatted when it is). The
     /// source name is an interned handle, so emission never copies it.
@@ -471,20 +441,6 @@ mod tests {
         );
         let s = k.queue.pop().unwrap();
         assert_eq!(s.time, SimTime::from_nanos(100));
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let mut k = Kernel::new(SimConfig::default());
-        k.trace("x", "hello");
-        assert!(k.tracer.is_empty());
-        k.tracer.set_enabled(true);
-        k.trace("x", "hello");
-        assert_eq!(k.tracer.len(), 1);
-        let evs = k.tracer.take();
-        assert_eq!(evs[0].name, "hello");
-        assert_eq!(&*evs[0].source_name, "x");
-        assert_eq!(evs[0].source, TraceSource::Kernel);
     }
 
     #[test]

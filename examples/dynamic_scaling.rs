@@ -124,7 +124,7 @@ async fn run_phase(ses: &mut AcSession, handles: &[AcHandle], jc: &JobCtx, n: us
         pending.push(l);
     }
     for l in pending {
-        ses.kernel_wait(l).await.unwrap();
+        ses.op_wait(l).await.unwrap();
     }
     for (h, p) in allocated {
         let r = as_f64s(&ses.mem_read(h, p, 64).await.unwrap());

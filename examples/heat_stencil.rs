@@ -80,7 +80,7 @@ async fn distributed_step(
         launches.push(l);
     }
     for l in launches {
-        ses.kernel_wait(l).await.unwrap();
+        ses.op_wait(l).await.unwrap();
     }
     // Gather interiors back (the halo cells come from the neighbours'
     // interiors on the next upload — host-mediated halo exchange).

@@ -82,7 +82,7 @@ fn main() {
                     pending.push(l);
                 }
                 for l in pending {
-                    ses.kernel_wait(l).await.unwrap();
+                    ses.op_wait(l).await.unwrap();
                 }
                 let t_compute = jc.proc.now();
                 // Gather C.

@@ -40,7 +40,7 @@ fn timed_out_request_is_tombstoned_and_late_reply_discarded() {
                 .kernel_launch(slow, "slow", KernelArgs::new(1, 1, vec![]))
                 .await
                 .expect("launch accepted");
-            match ses.kernel_wait(launch).await {
+            match ses.op_wait(launch).await {
                 Err(DacError::Timeout(h)) => {
                     assert_eq!(h, slow);
                     out.lock().push("timeout");

@@ -154,7 +154,6 @@ impl Config {
                 // incarnation fence.
                 flow("crates/dac/src/runtime.rs", "ReqBody", true),
                 pe("crates/dac/src/runtime.rs", "RepBody"),
-                pe("crates/dac/src/frontend.rs", "RepBodyOwned"),
                 flow("crates/dac/src/collective.rs", "CollBody", false),
                 flow("crates/mpi/src/runtime.rs", "CtlBody", false),
             ],
