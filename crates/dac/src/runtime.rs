@@ -324,10 +324,11 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
     let mut my_ptrs: BTreeSet<DevPtr> = BTreeSet::new();
     let overhead = dac.cost.request_overhead;
     // Idempotency: request ids already executed, with the reply (if any)
-    // for replay, so a duplicated request never runs its side effects
-    // twice. The loop serves one request at a time, so nothing is evicted
+    // and its wire size for replay, so a duplicated request never runs
+    // its side effects twice and its replay costs what the reply did.
+    // The loop serves one request at a time, so nothing is evicted
     // between a request's `admit` and its `store`.
-    let mut reply_cache: ReplyCache<RepBody> = ReplyCache::new(256);
+    let mut reply_cache: ReplyCache<(RepBody, u64)> = ReplyCache::new(256);
     loop {
         let msg = mpi.recv(comm, Some(0), Some(TAG_REQ)).await;
         let request =
@@ -336,8 +337,8 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
         match reply_cache.admit(req) {
             Admit::Fresh => {}
             Admit::InFlight => continue,
-            Admit::Done(body) => {
-                reply(&mpi, comm, req, body, dac.cost.ctl_bytes);
+            Admit::Done((body, bytes)) => {
+                reply(&mpi, comm, req, body, bytes);
                 continue;
             }
         }
@@ -450,13 +451,13 @@ async fn serve(mut mpi: MpiProc, dac: DacRuntime, mut comm: Comm, slice: SliceId
                 (RepBody::Ack(r), 0)
             }
         };
-        reply_cache.store(req, body.clone());
-        reply(&mpi, comm, req, body, dac.cost.ctl_bytes + payload_bytes);
+        let bytes = dac.cost.ctl_bytes + payload_bytes;
+        reply_cache.store(req, (body.clone(), bytes));
+        reply(&mpi, comm, req, body, bytes);
     }
 }
 
-/// Send `body` to the front end (rank 0) as `bytes` on the wire. A
-/// replayed reply travels as `ctl_bytes` alone, even a `Data` one.
+/// Send `body` to the front end (rank 0) as `bytes` on the wire.
 fn reply(mpi: &MpiProc, comm: Comm, req: u64, body: RepBody, bytes: u64) {
     let _ = mpi.send(comm, 0, TAG_REP, data(DacReply { req, body }), bytes);
 }

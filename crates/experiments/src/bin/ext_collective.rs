@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use darms::prelude::*;
+use darms_experiments::invariants::Audit;
 use darms_workload::{secs as fmt_secs, Table};
 use parking_lot::Mutex;
 
@@ -68,8 +69,7 @@ fn run(seed: u64, collective: bool, pool: usize) -> (Vec<f64>, usize) {
         }
     }));
     cluster.qsub(spec);
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("EXT-6 run");
     let mut v = lat.lock().clone();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let g = *granted.lock();

@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use darms::prelude::*;
+use darms_experiments::invariants::Audit;
 use darms_workload::Table;
 use parking_lot::Mutex;
 
@@ -54,8 +55,7 @@ fn run(seed: u64, partial: bool) -> Outcome {
         }));
         cluster.qsub_after(secs(2 * i as u64), spec);
     }
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("EXT-7 run");
     let (g, r, sv) = (*granted.lock(), *rejected.lock(), *served.lock());
     Outcome { granted: g, rejected: r, accs_served: sv }
 }

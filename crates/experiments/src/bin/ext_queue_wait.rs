@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use darms::prelude::*;
+use darms_experiments::invariants::Audit;
 use darms_sched::SchedConfig;
 use darms_workload::Table;
 use parking_lot::Mutex;
@@ -63,8 +64,7 @@ fn run(seed: u64, queue_wait: Option<SimDuration>) -> Outcome {
             }));
         cluster.qsub_after(secs(i as u64), spec);
     }
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("EXT-8 run");
     let w = waits.lock().clone();
     let mean = w.iter().sum::<f64>() / w.len().max(1) as f64;
     let (g, r) = (*granted.lock(), *rejected.lock());

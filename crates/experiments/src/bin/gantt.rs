@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use darms::prelude::*;
+use darms_experiments::invariants::Audit;
 use darms_workload::WorkloadConfig;
 use parking_lot::Mutex;
 
@@ -70,22 +71,11 @@ fn main() {
         cluster.qsub_after(t.arrival, spec);
     }
 
-    let statuses = Arc::new(Mutex::new(Vec::new()));
-    let out = statuses.clone();
-    cluster.client_after("watch", SimDuration::from_secs(1), move |c| async move {
-        loop {
-            let st = c.qstat().await;
-            if st.len() == 14 && st.iter().all(|s| s.state.is_terminal()) {
-                *out.lock() = st;
-                break;
-            }
-            c.proc.sleep(SimDuration::from_secs(10)).await;
-        }
-    });
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
-
-    let statuses = statuses.lock().clone();
+    let audit =
+        Audit::watch(&mut cluster, 14, SimDuration::from_secs(1), SimDuration::from_secs(10));
+    let (stats, report) = audit.run(&mut cluster);
+    report.assert_clean("schedule replay");
+    let statuses = report.statuses;
     let t_end =
         statuses.iter().filter_map(|s| s.completed).max().expect("jobs finished").as_secs_f64();
     let scale = |t: f64| ((t / t_end) * (WIDTH as f64 - 1.0)) as usize;

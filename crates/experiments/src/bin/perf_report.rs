@@ -449,8 +449,9 @@ fn main() {
     } else {
         let (o, wall, rss10) = dc_run(10_000, 1);
         let eps = o.stats.events as f64 / wall;
-        // The scale gate: per-event wall cost at 10k within 2x of 1k
-        // (i.e. nothing O(hosts) is left on a per-event path).
+        // Per-event wall cost at 10k relative to 1k, printed and not
+        // gated: near 1x means nothing O(hosts) is left on a per-event
+        // path.
         let per_event_ratio = dc1_eps / eps;
         println!(
             "  datacenter (10k hosts, {} jobs): {} events in {wall:.3}s -> {eps:.0} \

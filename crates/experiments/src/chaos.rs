@@ -33,57 +33,15 @@
 
 use crate::soak::{run_cell, run_cell_checked, CellOutcome, SoakCell};
 
-/// What one audited chaos run produced.
-#[derive(Clone, Debug)]
-pub struct ChaosOutcome {
-    /// The scenario seed.
-    pub seed: u64,
-    /// Invariant violations (empty on a clean run).
-    pub violations: Vec<String>,
-    /// Jobs submitted by the generated workload.
-    pub jobs: usize,
-    /// Jobs that finished normally.
-    pub completed: usize,
-    /// Jobs cancelled by the server (requeue budget exhausted after
-    /// repeated node failures) or by walltime enforcement.
-    pub cancelled: usize,
-    /// Server-side host reclamations triggered by offline reports.
-    pub reclaims: u64,
-    /// Serialized trace + deterministic engine stats: the byte-identity
-    /// witness for this seed.
-    pub trace: String,
-}
-
-impl ChaosOutcome {
-    /// True when every invariant held.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-impl From<CellOutcome> for ChaosOutcome {
-    fn from(o: CellOutcome) -> ChaosOutcome {
-        ChaosOutcome {
-            seed: o.cell.seed,
-            violations: o.violations,
-            jobs: o.jobs,
-            completed: o.completed,
-            cancelled: o.cancelled,
-            reclaims: o.reclaims,
-            trace: o.trace,
-        }
-    }
-}
-
 /// Run one seeded chaos scenario and audit it.
-pub fn run_chaos(seed: u64) -> ChaosOutcome {
-    run_cell(&SoakCell::classic(seed)).into()
+pub fn run_chaos(seed: u64) -> CellOutcome {
+    run_cell(&SoakCell::classic(seed))
 }
 
 /// Run `seed` twice and additionally check byte-identical reproduction;
 /// a mismatch is reported as a violation on the returned outcome.
-pub fn run_chaos_checked(seed: u64) -> ChaosOutcome {
-    run_cell_checked(&SoakCell::classic(seed)).into()
+pub fn run_chaos_checked(seed: u64) -> CellOutcome {
+    run_cell_checked(&SoakCell::classic(seed))
 }
 
 #[cfg(test)]

@@ -9,25 +9,22 @@
 //! Scale discipline: the front-door volume is *fixed* across scales
 //! (same diurnal job curve at 1k and 10k hosts), so the 10k-vs-1k
 //! per-event wall ratio isolates the cost of **hosts** — snapshots,
-//! free-pool maintenance, node indexes — which is exactly what the
-//! bench gate checks (10k within 2x of 1k). Scaling the job count
-//! instead is a *load* knob: a Maui-style scheduler rescans its queue
-//! every iteration, so deeper queues grow both the per-iteration work
-//! and the iteration count, quadratically in load at any cluster size.
+//! free-pool maintenance, node indexes — which `perf_report` prints as
+//! a number, not a gate. Scaling the job count instead is a *load*
+//! knob: a Maui-style scheduler rescans its queue every iteration, so
+//! deeper queues grow both the per-iteration work and the iteration
+//! count, quadratically in load at any cluster size.
 //! No health monitor and no fault plan: the cluster quiesces on its
-//! own once the last job drains. A run still busy at the [`HORIZON`] is
-//! wedged, and fails with a summary of the watcher's last `qstat`.
-
-use std::collections::BTreeMap;
-use std::sync::Arc;
+//! own once the last job drains. Every run is audited
+//! ([`crate::invariants::Audit`]); a run still busy at the [`HORIZON`]
+//! is wedged, and fails its audit with a stuck-run summary.
 
 use darms::prelude::*;
 use darms_workload::Dist;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::invariants;
+use crate::invariants::Audit;
 
 /// Parameters of one datacenter run.
 #[derive(Clone, Copy, Debug)]
@@ -73,9 +70,8 @@ pub struct DatacenterOutcome {
     pub messages: u64,
     /// Jobs submitted.
     pub jobs: usize,
-    /// Jobs that reached a terminal state (all of them, or the run
-    /// would not have quiesced).
-    pub completed: usize,
+    /// Processes still running when the engine stopped.
+    pub still_running: u64,
     /// Jobs that carried static accelerator demand.
     pub static_acc_jobs: usize,
     /// Jobs that issued a dynamic `AC_Get` mid-run.
@@ -205,88 +201,21 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
         cluster.qsub_after(*arrival, spec);
     }
 
-    // Watch for quiescence: every job terminal. The poll is coarse so
-    // the watcher contributes negligible traffic next to the workload.
-    let n_jobs = cfg.jobs;
-    let watch = Arc::new(Mutex::new(Watch::default()));
-    let out = watch.clone();
-    cluster.client_after("watch", SimDuration::from_secs(5), move |c| async move {
-        loop {
-            let st = c.qstat().await;
-            let done = st.len() == n_jobs && st.iter().all(|s| s.state.is_terminal());
-            {
-                let mut w = out.lock();
-                if w.resurrected.is_empty() {
-                    w.resurrected = invariants::check_no_resurrection(&st);
-                }
-                w.at = c.proc.now();
-                w.last = st;
-            }
-            if done {
-                break;
-            }
-            c.proc.sleep(SimDuration::from_secs(60)).await;
-        }
-    });
-
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "datacenter run must be clean");
-    let w = watch.lock();
-    let completed = w.last.iter().filter(|s| s.state.is_terminal()).count();
-    if completed != cfg.jobs || !w.resurrected.is_empty() {
-        panic!("{}", w.stuck_summary(cfg.jobs));
-    }
+    // The auditor's watcher polls coarsely, so it contributes
+    // negligible traffic next to the workload.
+    let audit =
+        Audit::watch(&mut cluster, cfg.jobs, SimDuration::from_secs(5), SimDuration::from_secs(60));
+    let (stats, report) = audit.run(&mut cluster);
+    report.assert_clean("datacenter run");
     DatacenterOutcome {
         stats,
         messages: cluster.net.stats().messages,
         jobs: cfg.jobs,
-        completed,
+        still_running: report.still_running,
         static_acc_jobs,
         dyn_jobs,
         compute_nodes,
         pool,
-    }
-}
-
-/// What the quiescence watcher saw last.
-#[derive(Default)]
-struct Watch {
-    /// The last `qstat` and when it was answered.
-    last: Vec<JobStatus>,
-    at: SimTime,
-    /// Violations of the first `qstat` showing a resurrected job.
-    resurrected: Vec<String>,
-}
-
-impl Watch {
-    /// Stuck-run summary: jobs per state in the last `qstat`, the first
-    /// non-terminal jobs with their completion times, and any resurrection.
-    fn stuck_summary(&self, jobs: usize) -> String {
-        let mut per_state: BTreeMap<String, usize> = BTreeMap::new();
-        for s in &self.last {
-            *per_state.entry(format!("{:?}", s.state)).or_default() += 1;
-        }
-        let live: Vec<String> = self
-            .last
-            .iter()
-            .filter(|s| !s.state.is_terminal())
-            .take(10)
-            .map(|s| match s.completed {
-                Some(t) => format!("{} {:?} completed {t}s", s.id, s.state),
-                None => format!("{} {:?} completed -", s.id, s.state),
-            })
-            .collect();
-        let mut out = format!(
-            "datacenter run not quiescent (horizon {HORIZON:?}): last qstat at {}s lists {} of {jobs} \
-             jobs; per state {per_state:?}; first non-terminal [{}]",
-            self.at,
-            self.last.len(),
-            live.join(", ")
-        );
-        if !self.resurrected.is_empty() {
-            out += &format!("; first resurrections [{}]", self.resurrected.join(", "));
-        }
-        out
     }
 }
 
@@ -317,15 +246,28 @@ mod tests {
         let a = run_datacenter(&cfg);
         let b = run_datacenter(&cfg);
         assert_eq!(a.stats, b.stats);
-        assert_eq!(a.completed, 16);
+        assert_eq!(a.still_running, 0);
         assert!(a.dyn_jobs > 0, "dynamic path exercised: {a:?}");
         assert!(a.stats.events > 1_000, "non-trivial event count: {}", a.stats.events);
+    }
+
+    /// The 1k-host, 2000-job cell of `BENCH_sim.json`'s `datacenter`
+    /// row, in legacy mode: its audit is clean (the run panics
+    /// otherwise), no process is left running, and its counts are the
+    /// ones `make bench-check` gates.
+    #[test]
+    fn audited_datacenter_cell_matches_the_bench_counts() {
+        let o = run_datacenter(&DatacenterConfig::at_scale(1000, 42));
+        assert_eq!(o.still_running, 0);
+        assert_eq!(o.stats.events, 108_560);
+        assert_eq!(o.messages, 66_909);
+        assert_eq!(o.stats.context_switches, 35_055);
     }
 
     /// The overload wedge of DESIGN.md §11's known-wrong `DynPhase` rows:
     /// at 4000 jobs on 1000 hosts,
     /// timed-out jobs come back to life and the run never quiesces. The
-    /// watchdog turns the wedge into a failure with a stuck-run summary
+    /// audit turns the wedge into a failure with a stuck-run summary
     /// (`cargo test --release -p darms-experiments -- --ignored wedge`).
     #[test]
     #[ignore = "slow: simulates the 6 h horizon at 1000 hosts"]

@@ -9,6 +9,7 @@ use darms::prelude::*;
 use darms_sched::SchedConfig;
 use parking_lot::Mutex;
 
+use crate::invariants::Audit;
 use crate::runner;
 
 fn secs(s: u64) -> SimDuration {
@@ -80,21 +81,9 @@ fn provisioning_run(seed: u64, dynamic: bool) -> ProvisioningOutcome {
             }));
         cluster.qsub_after(secs(2 * i as u64), spec);
     }
-    let statuses = Arc::new(Mutex::new(Vec::new()));
-    let out = statuses.clone();
-    cluster.client_after("watch", secs(1), move |c| async move {
-        loop {
-            let st = c.qstat().await;
-            if st.len() == n_jobs as usize && st.iter().all(|s| s.state.is_terminal()) {
-                *out.lock() = st;
-                break;
-            }
-            c.proc.sleep(secs(5)).await;
-        }
-    });
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
-    let st = statuses.lock().clone();
+    let (_, report) = Audit::watch(&mut cluster, n_jobs, secs(1), secs(5)).run(&mut cluster);
+    report.assert_clean("EXT-1 provisioning run");
+    let st = report.statuses;
     let first = st.iter().map(|s| s.submitted).min().expect("jobs ran");
     let last = st.iter().filter_map(|s| s.completed).max().expect("jobs finished");
     let mean_wait =
@@ -146,8 +135,7 @@ fn rejection_run(seed: u64, pool: usize) -> f64 {
         }));
         cluster.qsub_after(secs(i as u64), spec);
     }
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("EXT-2 rejection run");
     let g = *granted.lock();
     let r = *rejected.lock();
     r as f64 / (g + r).max(1) as f64
@@ -158,10 +146,12 @@ fn rejection_run(seed: u64, pool: usize) -> f64 {
 /// frequent dynamic requests. Returns mean queued-job wait seconds for
 /// `(top_priority, low_priority)` dynamic scheduling.
 pub fn ext3_fairness(seed: u64) -> (f64, f64) {
-    (fairness_run(seed, true), fairness_run(seed, false))
+    (fairness_run(seed, true).0, fairness_run(seed, false).0)
 }
 
-fn fairness_run(seed: u64, dyn_top: bool) -> f64 {
+/// One EXT-3 run: the competitors' mean wait and the processes left
+/// running at its end.
+fn fairness_run(seed: u64, dyn_top: bool) -> (f64, u64) {
     let mut sched = SchedConfig::paper_testbed();
     sched.dyn_top_priority = dyn_top;
     let mut cluster =
@@ -195,24 +185,16 @@ fn fairness_run(seed: u64, dyn_top: bool) -> f64 {
         let spec = JobSpec::synthetic(format!("comp{i}"), secs(5)).acpn(1).walltime(secs(10));
         cluster.qsub_after(secs(10 + 5 * i as u64), spec);
     }
-    let statuses = Arc::new(Mutex::new(Vec::new()));
-    let out = statuses.clone();
-    cluster.client_after("watch", secs(1), move |c| async move {
-        loop {
-            let st = c.qstat().await;
-            let comps: Vec<_> = st.iter().filter(|s| s.name.starts_with("comp")).cloned().collect();
-            if comps.len() == n_comp as usize && comps.iter().all(|s| s.state.is_terminal()) {
-                *out.lock() = comps;
-                break;
-            }
-            c.proc.sleep(secs(5)).await;
-        }
-    });
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
-    let st = statuses.lock().clone();
-    st.iter().filter_map(|s| s.started.map(|t| (t - s.submitted).as_secs_f64())).sum::<f64>()
-        / st.len() as f64
+    let (_, report) = Audit::watch(&mut cluster, n_comp + 1, secs(1), secs(5)).run(&mut cluster);
+    report.assert_clean("EXT-3 fairness run");
+    let comps: Vec<&JobStatus> =
+        report.statuses.iter().filter(|s| s.name.starts_with("comp")).collect();
+    let wait = comps
+        .iter()
+        .filter_map(|s| s.started.map(|t| (t - s.submitted).as_secs_f64()))
+        .sum::<f64>()
+        / comps.len() as f64;
+    (wait, report.still_running)
 }
 
 /// EXT-5: EASY backfill on/off under a blocked-queue workload. Returns
@@ -234,21 +216,9 @@ fn backfill_run(seed: u64, backfill: bool) -> f64 {
     for i in 0..6 {
         cluster.qsub(JobSpec::synthetic(format!("short{i}"), secs(15)).ppn(8).walltime(secs(18)));
     }
-    let statuses = Arc::new(Mutex::new(Vec::new()));
-    let out = statuses.clone();
-    cluster.client_after("watch", secs(1), move |c| async move {
-        loop {
-            let st = c.qstat().await;
-            if st.len() == 8 && st.iter().all(|s| s.state.is_terminal()) {
-                *out.lock() = st;
-                break;
-            }
-            c.proc.sleep(secs(5)).await;
-        }
-    });
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
-    let st = statuses.lock().clone();
+    let (_, report) = Audit::watch(&mut cluster, 8, secs(1), secs(5)).run(&mut cluster);
+    report.assert_clean("EXT-5 backfill run");
+    let st = report.statuses;
     let first = st.iter().map(|s| s.submitted).min().expect("ran");
     let last = st.iter().filter_map(|s| s.completed).max().expect("finished");
     (last - first).as_secs_f64()
@@ -285,8 +255,22 @@ fn transfer_run(seed: u64, mb: usize, pipelined: bool) -> f64 {
         }
     }));
     cluster.qsub(spec);
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0);
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("EXT-4 transfer run");
     let v = *elapsed.lock();
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Known wrong: each `comp` job is `acpn(1)` with a synthetic script
+    /// that never opens an `AcSession`, so nothing releases its
+    /// accelerator daemon, which stays parked in its receive after the
+    /// job ends. A kernel kill that ends a job's processes with the job
+    /// must flip this to 0.
+    #[test]
+    fn ext3_leaves_one_daemon_per_competitor_running() {
+        assert_eq!(fairness_run(1, true).1, 6);
+    }
 }

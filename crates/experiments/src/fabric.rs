@@ -9,6 +9,8 @@ use darms::prelude::*;
 use darms_sim::QuantileEstimator;
 use parking_lot::Mutex;
 
+use crate::invariants::Audit;
+
 fn secs(s: u64) -> SimDuration {
     SimDuration::from_secs(s)
 }
@@ -88,8 +90,7 @@ pub fn dispatch_latency_trial(class: DeviceClass, kernels: usize, seed: u64) -> 
         },
     ));
     cluster.qsub(spec);
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "{class} latency trial must run cleanly");
+    Audit::end_of_run().run(&mut cluster).1.assert_clean(&format!("{class} latency trial"));
     let v = lat.lock().clone();
     assert_eq!(v.len(), kernels, "{class}: every dispatch must be measured");
     v
@@ -190,8 +191,8 @@ pub fn mixed_fabric_traced(seed: u64) -> (Vec<TraceEvent>, SimStats) {
         }));
     cluster.qsub(dpu_job);
 
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "mixed-fabric scenario must run cleanly");
+    let (stats, report) = Audit::end_of_run().run(&mut cluster);
+    report.assert_clean("mixed-fabric scenario");
     assert_eq!(*gpu_sum.lock(), (0..1024).map(|i| 2.0 * i as f64).sum::<f64>());
     assert!(*dpu_ok.lock(), "DPU collective job must finish");
     // The broadcast went over the rank fabric's multicast, never unicast.

@@ -7,6 +7,7 @@
 
 use darms::prelude::*;
 
+use crate::invariants::Audit;
 use crate::runner;
 
 /// Trials averaged per data point (the paper uses 10).
@@ -87,8 +88,7 @@ pub fn fig7a_trial(x: usize, seed: u64) -> (f64, f64) {
         }
     }));
     cluster.qsub(spec);
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "fig7a trial must run cleanly");
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("fig7a trial");
     let wait = cluster.recorder.summary("acinit.wait").expect("recorded").mean;
     let connect = cluster.recorder.summary("acinit.connect").expect("recorded").mean;
     (wait, connect)
@@ -121,8 +121,7 @@ pub fn fig7b_trial(y: usize, seed: u64) -> (f64, f64) {
         }
     }));
     cluster.qsub(spec);
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "fig7b trial must run cleanly");
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("fig7b trial");
     let batch = cluster.recorder.summary("acget.batch").expect("recorded").mean;
     let mpi = cluster.recorder.summary("acget.mpi").expect("recorded").mean;
     (batch, mpi)
@@ -243,8 +242,8 @@ fn fig8_trial_run(load: usize, seed: u64, trace: bool) -> (f64, f64, SimStats, V
     }));
     cluster.qsub(spec);
 
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "fig8 trial must run cleanly");
+    let (stats, report) = Audit::end_of_run().run(&mut cluster);
+    report.assert_clean("fig8 trial");
     let events = cluster.sim.take_events();
     let batch = cluster.recorder.summary("acget.batch").expect("recorded").mean;
     let mpi = cluster.recorder.summary("acget.mpi").expect("recorded").mean;
@@ -309,8 +308,7 @@ pub fn fig9_trial(seed: u64) -> [f64; 3] {
         }));
         cluster.qsub(spec);
     }
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "fig9 trial must run cleanly");
+    Audit::end_of_run().run(&mut cluster).1.assert_clean("fig9 trial");
     let mut lat = cluster.recorder.values("acget.batch");
     assert_eq!(lat.len(), 3);
     lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

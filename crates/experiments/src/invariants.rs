@@ -1,32 +1,205 @@
-//! Shared invariant checker for chaos and soak runs.
+//! The one auditor of every experiment harness, and the invariants it
+//! checks.
 //!
-//! One implementation of the control-plane safety invariants, consumed
-//! by the chaos harness ([`crate::chaos`]), the soak subsystem
-//! ([`crate::soak`] and the `darms_soak` binary) and the property tests
-//! (`tests/chaos_properties.rs`) alike — so every surface asserts the
-//! *same* conditions with the same strength:
+//! [`Audit`] is the only auditor in this crate. The figure trials, the
+//! EXT studies, SWF replay, `gantt`, the fabric scenarios, the
+//! datacenter scenario, soak and chaos all run under it, and so do the
+//! property tests (`tests/chaos_properties.rs`). It has two parts:
+//!
+//! - an optional in-sim **watcher** ([`Audit::watch`]): a head-node
+//!   client that polls `qstat` until every submitted job is terminal or
+//!   the horizon closes in, checks each answer for resurrected jobs and
+//!   samples pool conservation out of band;
+//! - one **end-of-run pass** ([`Audit::run`]) over the engine's
+//!   statistics, the node database and, when tracing is on, the trace.
+//!
+//! The checks themselves:
 //!
 //! 1. **Engine health** — no simulated-process panic, event cap not hit
 //!    ([`check_engine`]);
 //! 2. **Pool conservation** — per node, `free + allocated == capacity`,
-//!    sampleable mid-run and at the end ([`check_pool`]);
-//! 3. **No leaked allocations / wedged jobs** — once every job is
-//!    terminal, no node may still hold cores or a dynamically granted
-//!    accelerator set ([`check_no_leaks`]); job-terminality itself is
-//!    observed by the caller's in-sim auditor (it needs `qstat`);
-//! 4. **Monotone event clock** — the serialized trace's virtual
-//!    timestamps never decrease ([`check_monotone_clock`]);
+//!    sampled mid-run and at the end ([`check_pool`]);
+//! 3. **No leaked allocations** — once every job is terminal, or once
+//!    the engine drained, no node may still hold cores or a dynamically
+//!    granted accelerator set ([`check_no_leaks`]);
+//! 4. **Monotone event clock** — the trace's virtual timestamps never
+//!    decrease ([`check_monotone_clock`]);
 //! 5. **Replay identity** — a rerun from the same seed reproduces the
 //!    serialized trace byte-for-byte ([`check_replay_identity`];
 //!    [`first_divergence`] locates the first differing line for triage);
 //! 6. **No resurrection** — a job the server stamped completed is still
-//!    terminal in every `qstat` ([`check_no_resurrection`]).
+//!    terminal in every `qstat` ([`check_no_resurrection`]);
+//! 7. **Quiescence** — the watcher saw every submitted job terminal;
+//!    otherwise the report carries a stuck-run summary.
 //!
 //! Every check returns a `Vec<String>` of human-readable violations —
 //! empty means the invariant held — so callers can aggregate freely.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use darms::prelude::*;
-use darms_rms::NodeDb;
+use darms_rms::{ifl, NodeDb};
+use parking_lot::Mutex;
+
+/// How long before the horizon the watcher stops polling, so its last
+/// `qstat` is answered inside the run.
+const LAST_CALL: SimDuration = SimDuration::from_secs(30);
+
+/// What the watcher saw.
+#[derive(Default)]
+struct Seen {
+    /// The last `qstat` and when it was answered.
+    last: Vec<JobStatus>,
+    at: SimTime,
+    /// Violations of the first `qstat` showing a resurrected job.
+    resurrected: Vec<String>,
+    /// Violations of the mid-run pool samples.
+    pool: Vec<String>,
+}
+
+/// The auditor of one cluster run: an optional `qstat` watcher plus the
+/// end-of-run pass.
+pub struct Audit {
+    /// Jobs the watcher waits for; `None` without a watcher.
+    jobs: Option<usize>,
+    seen: Arc<Mutex<Seen>>,
+}
+
+impl Audit {
+    /// The end-of-run pass alone, for a harness that watches no `qstat`.
+    pub fn end_of_run() -> Audit {
+        Audit { jobs: None, seen: Arc::default() }
+    }
+
+    /// Spawn the watcher on `cluster`'s head node. It takes its first
+    /// `qstat` at `first` and then one every `every`, and stops once all
+    /// `jobs` submitted jobs are terminal or the horizon is near. A
+    /// failed `qstat` is skipped. Each observation also samples pool
+    /// conservation from [`Cluster::node_db`], which sends no message.
+    pub fn watch(
+        cluster: &mut Cluster,
+        jobs: usize,
+        first: SimDuration,
+        every: SimDuration,
+    ) -> Audit {
+        let seen: Arc<Mutex<Seen>> = Arc::default();
+        let out = seen.clone();
+        let node_db = cluster.node_db.clone();
+        let last_call = cluster.config().sim.horizon - LAST_CALL;
+        cluster.client_after("auditor", first, move |c| async move {
+            loop {
+                let now = c.proc.now();
+                let pool = check_pool(&node_db.lock(), "mid-run");
+                let answer = ifl::try_qstat(&c.proc, &c.net, c.head, c.server).await;
+                {
+                    let mut s = out.lock();
+                    s.pool.extend(pool);
+                    if let Ok(st) = answer {
+                        if s.resurrected.is_empty() {
+                            s.resurrected = check_no_resurrection(&st);
+                        }
+                        let done = st.len() == jobs && st.iter().all(|j| j.state.is_terminal());
+                        s.last = st;
+                        s.at = c.proc.now();
+                        if done {
+                            return;
+                        }
+                    }
+                }
+                if now >= last_call {
+                    return;
+                }
+                c.proc.sleep(every).await;
+            }
+        });
+        Audit { jobs: Some(jobs), seen }
+    }
+
+    /// Run `cluster` to the end, then make the end-of-run pass: engine
+    /// health, the watcher's findings, a stuck-run summary when the
+    /// watcher last saw a job still live, a final pool check, leaks once
+    /// every job is terminal or the engine drained (a drained engine can
+    /// release nothing more), and the event clock when tracing is on.
+    pub fn run(self, cluster: &mut Cluster) -> (SimStats, AuditReport) {
+        let stats = cluster.run();
+        let seen = std::mem::take(&mut *self.seen.lock());
+        let mut violations = check_engine(&stats);
+        violations.extend(seen.pool);
+        violations.extend(seen.resurrected);
+        let quiescent = self.jobs.map(|jobs| {
+            let all = seen.last.len() == jobs && seen.last.iter().all(|s| s.state.is_terminal());
+            if !all {
+                let horizon = cluster.config().sim.horizon;
+                violations.push(stuck_summary(&seen.last, seen.at, jobs, horizon));
+            }
+            all
+        });
+        let drained = !stats.hit_horizon && !stats.hit_event_cap;
+        {
+            let db = cluster.node_db.lock();
+            violations.extend(check_pool(&db, "final"));
+            if quiescent == Some(true) || drained {
+                violations.extend(check_no_leaks(&db));
+            }
+        }
+        if cluster.tracer.enabled() {
+            violations.extend(check_monotone_clock(&cluster.tracer.snapshot()));
+        }
+        let still_running = stats.processes_spawned - stats.processes_finished;
+        (stats, AuditReport { violations, still_running, statuses: seen.last })
+    }
+}
+
+/// What [`Audit::run`] found.
+#[derive(Clone, Debug)]
+pub struct AuditReport {
+    /// Invariant violations (empty on a clean run).
+    pub violations: Vec<String>,
+    /// Processes still running when the engine stopped. Reported, not a
+    /// violation: a kill does not yet end a process blocked outside the
+    /// job's kill-aware waits, such as the daemon of a job that never
+    /// opened an `AcSession`.
+    pub still_running: u64,
+    /// The watcher's last `qstat` (empty without a watcher).
+    pub statuses: Vec<JobStatus>,
+}
+
+impl AuditReport {
+    /// True when every invariant held.
+    pub fn clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    /// Panic with every violation unless the run of `what` was clean.
+    pub fn assert_clean(&self, what: &str) {
+        assert!(self.clean(), "{what} failed its audit: {}", self.violations.join("; "));
+    }
+}
+
+/// Stuck-run summary: jobs per state in the last `qstat` (answered at
+/// `at`), and the first non-terminal jobs with their completion times.
+fn stuck_summary(last: &[JobStatus], at: SimTime, jobs: usize, horizon: SimTime) -> String {
+    let mut per_state: BTreeMap<String, usize> = BTreeMap::new();
+    for s in last {
+        *per_state.entry(format!("{:?}", s.state)).or_default() += 1;
+    }
+    let live: Vec<String> = last
+        .iter()
+        .filter(|s| !s.state.is_terminal())
+        .take(10)
+        .map(|s| match s.completed {
+            Some(t) => format!("{} {:?} completed {t}s", s.id, s.state),
+            None => format!("{} {:?} completed -", s.id, s.state),
+        })
+        .collect();
+    format!(
+        "run not quiescent (horizon {horizon}s): last qstat at {at}s lists {} of {jobs} jobs; \
+         per state {per_state:?}; first non-terminal [{}]",
+        last.len(),
+        live.join(", ")
+    )
+}
 
 /// Engine-health invariant: the run must finish without a simulated
 /// process panicking and without hitting the engine's event cap (a cap
@@ -160,6 +333,42 @@ mod tests {
         let mut db = NodeDb::new();
         db.add_compute(h, 4);
         (db, h)
+    }
+
+    fn one_job_cluster(runtime_s: u64) -> Cluster {
+        let mut cfg = ClusterConfig::fast(1).with_split(1, 1);
+        cfg.sim.horizon = SimTime::ZERO + SimDuration::from_secs(60);
+        let mut cluster = Cluster::build(cfg);
+        let runtime = SimDuration::from_secs(runtime_s);
+        cluster.qsub(JobSpec::synthetic("job", runtime).walltime(runtime * 2));
+        cluster
+    }
+
+    #[test]
+    fn audit_of_a_drained_run_is_clean_and_keeps_the_last_qstat() {
+        let mut cluster = one_job_cluster(5);
+        let audit =
+            Audit::watch(&mut cluster, 1, SimDuration::from_secs(1), SimDuration::from_secs(2));
+        let (stats, report) = audit.run(&mut cluster);
+        assert!(!stats.hit_horizon);
+        assert!(report.clean(), "{:?}", report.violations);
+        assert_eq!(report.still_running, 0);
+        assert_eq!(report.statuses.len(), 1);
+        assert_eq!(report.statuses[0].state, JobState::Complete);
+    }
+
+    #[test]
+    fn audit_of_a_run_cut_at_the_horizon_is_not_quiescent() {
+        let mut cluster = one_job_cluster(600);
+        let audit =
+            Audit::watch(&mut cluster, 1, SimDuration::from_secs(1), SimDuration::from_secs(10));
+        let (stats, report) = audit.run(&mut cluster);
+        assert!(stats.hit_horizon);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("not quiescent"), "{:?}", report.violations);
+        assert!(report.violations[0].contains("Running"), "{:?}", report.violations);
+        // The job's task was still sleeping when the horizon stopped it.
+        assert!(report.still_running >= 1);
     }
 
     #[test]

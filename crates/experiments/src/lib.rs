@@ -20,7 +20,7 @@ pub mod replay;
 pub mod runner;
 pub mod soak;
 
-pub use chaos::{run_chaos, run_chaos_checked, ChaosOutcome};
+pub use chaos::{run_chaos, run_chaos_checked};
 pub use datacenter::{run_datacenter, DatacenterConfig, DatacenterOutcome};
 pub use fabric::{dispatch_latency_trial, fabric_sweep, mixed_fabric_traced, FabricLatencyRow};
 pub use figures::{fig7a, fig7b, fig8, fig9, Fig7Row, Fig8Row, Fig9Row, TRIALS};

@@ -6,13 +6,12 @@
 //! the batch system with a synthetic accelerator-demand overlay, and
 //! summarise waits, turnaround and pool utilisation.
 
-use std::sync::Arc;
-
 use darms::prelude::*;
 use darms_workload::{
     overlay_accelerator_demand, parse_swf, to_swf, Dist, JobOutcome, WorkloadConfig, WorkloadReport,
 };
-use parking_lot::Mutex;
+
+use crate::invariants::Audit;
 
 /// Parameters of one replay run.
 #[derive(Clone, Copy, Debug)]
@@ -122,24 +121,14 @@ fn replay_swf_run(text: &str, cfg: &ReplayConfig, trace: bool) -> (ReplayOutcome
         cluster.qsub_after(t.arrival, spec);
     }
 
-    let statuses = Arc::new(Mutex::new(Vec::new()));
-    let out = statuses.clone();
-    cluster.client_after("watch", SimDuration::from_secs(1), move |c| async move {
-        loop {
-            let st = c.qstat().await;
-            if st.len() == n_jobs && st.iter().all(|s| s.state.is_terminal()) {
-                *out.lock() = st;
-                break;
-            }
-            c.proc.sleep(SimDuration::from_secs(30)).await;
-        }
-    });
-    let stats = cluster.run();
-    assert_eq!(stats.process_panics, 0, "replay must run cleanly");
+    let audit =
+        Audit::watch(&mut cluster, n_jobs, SimDuration::from_secs(1), SimDuration::from_secs(30));
+    let (stats, audited) = audit.run(&mut cluster);
+    audited.assert_clean("replay");
     let events = cluster.sim.take_events();
 
-    let statuses = statuses.lock().clone();
-    let outcomes: Vec<JobOutcome> = statuses
+    let outcomes: Vec<JobOutcome> = audited
+        .statuses
         .iter()
         .map(|s| JobOutcome {
             submitted: s.submitted,

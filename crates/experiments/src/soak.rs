@@ -28,16 +28,15 @@
 //! trace.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use darms::prelude::*;
 use darms_net::HostId;
-use darms_rms::{ifl, MonitorConfig};
-use parking_lot::Mutex;
+use darms_rms::MonitorConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{golden, invariants};
+use crate::golden;
+use crate::invariants::{self, Audit};
 
 fn secs(s: u64) -> SimDuration {
     SimDuration::from_secs(s)
@@ -324,6 +323,8 @@ pub struct CellOutcome {
     pub reclaims: u64,
     /// Events the engine dispatched (per single run).
     pub events: u64,
+    /// Processes still running when the engine stopped.
+    pub still_running: u64,
     /// qsub→run latency samples, in seconds (`rms.qsub_to_run`).
     pub qsub_to_run: Vec<f64>,
     /// dynget→grant latency samples, in seconds
@@ -395,83 +396,27 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
         cluster.qsub_after(j.arrival, spec);
     }
 
-    // The auditor: a head-node client polling qstat until every job is
-    // terminal (or the horizon closes in), checking every qstat for
-    // resurrected jobs and sampling pool accounting under load.
-    #[derive(Default)]
-    struct Audit {
-        all_terminal: bool,
-        completed: usize,
-        cancelled: usize,
-        mid_run_violations: Vec<String>,
-        /// Violations of the first `qstat` showing a resurrected job.
-        resurrected: Vec<String>,
-    }
-    let audit = Arc::new(Mutex::new(Audit::default()));
-    let out = audit.clone();
-    let node_db = cluster.node_db.clone();
-    cluster.client_after("auditor", secs(5), move |c| async move {
-        loop {
-            c.proc.sleep(secs(10)).await;
-            // Mid-run pool-conservation sample (scoped lock; the server
-            // shares this database).
-            {
-                let db = node_db.lock();
-                let sample = invariants::check_pool(&db, "mid-run");
-                if !sample.is_empty() {
-                    out.lock().mid_run_violations.extend(sample);
-                }
-            }
-            let now = c.proc.now();
-            if let Ok(statuses) = ifl::try_qstat(&c.proc, &c.net, c.head, c.server).await {
-                let mut a = out.lock();
-                if a.resurrected.is_empty() {
-                    a.resurrected = invariants::check_no_resurrection(&statuses);
-                }
-                if statuses.len() == n_jobs && statuses.iter().all(|s| s.state.is_terminal()) {
-                    a.all_terminal = true;
-                    a.completed = statuses.iter().filter(|s| s.state == JobState::Complete).count();
-                    a.cancelled = statuses.len() - a.completed;
-                    return;
-                }
-            }
-            if now >= SimTime::ZERO + secs(HORIZON_SECS - 30) {
-                return; // Ran out of time: all_terminal stays false.
-            }
-        }
-    });
-
-    let stats = cluster.run();
-    let events = cluster.tracer.snapshot();
-    let trace = golden::serialize(&events, &stats);
-
-    let mut violations = invariants::check_engine(&stats);
-    let a = audit.lock();
-    if !a.all_terminal {
-        violations.push("jobs still not terminal near the horizon".to_string());
-    }
-    violations.extend(a.mid_run_violations.iter().cloned());
-    violations.extend(a.resurrected.iter().cloned());
-    {
-        let db = cluster.node_db.lock();
-        violations.extend(invariants::check_pool(&db, "final"));
-        if a.all_terminal {
-            violations.extend(invariants::check_no_leaks(&db));
-        }
-    }
-    violations.extend(invariants::check_monotone_clock(&events));
+    // First look at 15 s, then every 10 s, until every job is terminal
+    // or the horizon closes in.
+    let audit = Audit::watch(&mut cluster, n_jobs, secs(15), secs(10));
+    let (stats, report) = audit.run(&mut cluster);
+    let trace = golden::serialize(&cluster.tracer.snapshot(), &stats);
+    let mut violations = report.violations;
     if cell.force_failure {
         violations.push("forced failure (cell ran with force_failure set)".to_string());
     }
+    let completed = report.statuses.iter().filter(|s| s.state == JobState::Complete).count();
+    let terminal = report.statuses.iter().filter(|s| s.state.is_terminal()).count();
 
     CellOutcome {
         cell: *cell,
         violations,
         jobs: n_jobs,
-        completed: a.completed,
-        cancelled: a.cancelled,
+        completed,
+        cancelled: terminal - completed,
         reclaims: cluster.metrics.counter("rms.reclaims"),
         events: stats.events,
+        still_running: report.still_running,
         qsub_to_run: cluster.metrics.histogram_samples("rms.qsub_to_run"),
         dynget_to_grant: cluster.metrics.histogram_samples("rms.dynget_to_grant"),
         trace,
@@ -617,6 +562,7 @@ mod tests {
             let o = run_cell_checked(&cell);
             assert!(o.clean(), "{}: violations: {:?}", cell.id(), o.violations);
             assert_eq!(o.jobs, o.completed + o.cancelled);
+            assert_eq!(o.still_running, 0, "{}: processes left running", cell.id());
             assert!(o.events > 0);
         }
     }
@@ -629,6 +575,7 @@ mod tests {
                 let cell = SoakCell::new(5, w, FaultClass::Lossy);
                 let o = run_cell_checked(&cell);
                 assert!(o.clean(), "{}: violations: {:?}", cell.id(), o.violations);
+                assert_eq!(o.still_running, 0, "{}: processes left running", cell.id());
                 o.trace
             })
             .collect();

@@ -340,7 +340,8 @@ impl Engine {
 
     /// Drop every unfinished process body (their locals' destructors run,
     /// like the unwind of a cancelled thread) and seal the run. Returns
-    /// final statistics. Idempotent.
+    /// final statistics, in which a process shut down here counts as
+    /// spawned but not finished. Idempotent.
     pub fn finish(&mut self) -> SimStats {
         if !self.finished {
             self.finished = true;
@@ -358,7 +359,6 @@ impl Engine {
                     bodies.push(std::mem::replace(&mut slot.body, ProcBody::Done));
                 }
                 k.stats.context_switches += unfinished;
-                k.stats.processes_finished += unfinished;
                 bodies
             };
             // Dropped outside the lock, in pid order (matching the old
@@ -568,6 +568,8 @@ mod tests {
         let stats = e.run();
         assert!(stats.hit_horizon);
         assert!(stats.end_time <= SimTime::from_nanos(5_000_000));
+        // Shut down, not run to completion.
+        assert_eq!((stats.processes_spawned, stats.processes_finished), (1, 0));
     }
 
     #[test]

@@ -5,12 +5,9 @@
 //! every job must reach a terminal state before the horizon, and the
 //! node database must conserve the pool.
 
-use std::sync::Arc;
-
 use darms::prelude::*;
-use darms_experiments::invariants;
-use darms_rms::{ifl, MonitorConfig};
-use parking_lot::Mutex;
+use darms_experiments::invariants::Audit;
+use darms_rms::MonitorConfig;
 use proptest::prelude::*;
 
 fn secs(s: u64) -> SimDuration {
@@ -157,43 +154,12 @@ proptest! {
             cluster.qsub_after(SimDuration::from_millis(j.arrival_ms), spec);
         }
 
-        let all_terminal = Arc::new(Mutex::new(false));
-        let out = all_terminal.clone();
-        cluster.client_after("auditor", secs(5), move |c| async move {
-            loop {
-                c.proc.sleep(secs(10)).await;
-                let now = c.proc.now();
-                if let Ok(statuses) =
-                    ifl::try_qstat(&c.proc, &c.net, c.head, c.server).await
-                {
-                    if statuses.len() == n_jobs
-                        && statuses.iter().all(|s| s.state.is_terminal())
-                    {
-                        *out.lock() = true;
-                        return;
-                    }
-                }
-                if now >= SimTime::ZERO + secs(HORIZON_SECS - 30) {
-                    return;
-                }
-            }
-        });
-
-        let stats = cluster.run();
-        // Shared invariant checker (darms-experiments::invariants): the
-        // same engine-health, pool-conservation and no-leak checks the
-        // chaos harness and the darms-soak matrix assert, at the same
-        // strength as the inline asserts this test used to carry.
-        let mut violations = invariants::check_engine(&stats);
-        {
-            let db = cluster.node_db.lock();
-            violations.extend(invariants::check_pool(&db, "final"));
-            violations.extend(invariants::check_no_leaks(&db));
-        }
-        prop_assert!(violations.is_empty(), "invariant violations: {:#?}", violations);
-        prop_assert!(
-            *all_terminal.lock(),
-            "every job reaches a terminal state before the horizon"
-        );
+        // The shared auditor (darms-experiments::invariants): the same
+        // watcher and end-of-run pass the chaos harness and the
+        // darms-soak matrix run. A job still live near the horizon is a
+        // "not quiescent" violation.
+        let audit = Audit::watch(&mut cluster, n_jobs, secs(15), secs(10));
+        let (_, report) = audit.run(&mut cluster);
+        prop_assert!(report.clean(), "invariant violations: {:#?}", report.violations);
     }
 }

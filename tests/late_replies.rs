@@ -69,3 +69,41 @@ fn timed_out_request_is_tombstoned_and_late_reply_discarded() {
     assert_eq!(stats.process_panics, 0);
     assert_eq!(*log.lock(), vec!["timeout", "clean", "finalized"]);
 }
+
+/// A duplicated read request is answered once by execution and once
+/// from the daemon's reply cache. The replay carries the same data, so
+/// it must cost the same bytes on the wire as the first reply.
+#[test]
+fn replayed_read_reply_is_charged_its_full_size() {
+    const LEN: u64 = 1 << 20;
+    let mut cluster = Cluster::build(ClusterConfig::fast(91).with_split(1, 1));
+    let (dac, net) = (cluster.dac.clone(), cluster.net.clone());
+    let (cn, ac) = (cluster.compute[0], cluster.accs[0]);
+    let read_bytes = Arc::new(Mutex::new(0u64));
+    let out = read_bytes.clone();
+    let spec = JobSpec::synthetic("reader", secs(60)).acpn(1).script(script(move |jc| {
+        let (dac, net, out) = (dac.clone(), net.clone(), out.clone());
+        async move {
+            let (mut ses, handles) = AcSession::init(&jc, &dac, None).await;
+            let h = handles[0];
+            let ptr = ses.mem_alloc(h, LEN).await.unwrap();
+            ses.mem_write(h, ptr, vec![7; LEN as usize]).await.unwrap();
+            // Duplicate every compute-to-accelerator message, for the
+            // read request alone.
+            let dup = LinkFaults { duplicate: 1.0, ..LinkFaults::default() };
+            net.install_fault_plan(FaultPlan::new(1).with_link(cn, ac, dup));
+            let before = net.stats().bytes;
+            assert_eq!(ses.mem_read(h, ptr, LEN).await.unwrap().len(), LEN as usize);
+            net.install_fault_plan(FaultPlan::new(1));
+            // Let the replayed reply land before counting.
+            jc.proc.sleep(secs(1)).await;
+            *out.lock() = net.stats().bytes - before;
+            ses.finalize();
+        }
+    }));
+    cluster.qsub(spec);
+    let stats = cluster.run();
+    assert_eq!(stats.process_panics, 0);
+    let bytes = *read_bytes.lock();
+    assert!(bytes >= 2 * LEN, "two data replies carry {} bytes, not {bytes}", 2 * LEN);
+}
