@@ -12,7 +12,7 @@ use darms_rms::{
     JobSpec, JobState, JobStatus, NodeDb, PbsMom, PbsServer, PseudoFs,
 };
 use darms_sched::MauiScheduler;
-use darms_sim::{Endpoint, Engine, MetricsRegistry, Proc, Recorder, SimDuration, SimStats, Tracer};
+use darms_sim::{Endpoint, Engine, MetricsRegistry, Proc, SimDuration, SimStats, Tracer};
 use parking_lot::Mutex;
 
 use crate::config::ClusterConfig;
@@ -38,10 +38,9 @@ pub struct Cluster {
     /// DPU-rank accelerator hosts (the fabric extension; empty unless
     /// [`crate::config::FabricConfig::dpu_ranks`] is set).
     pub dpus: Vec<HostId>,
-    /// Measurement sink shared with the scheduler and DAC front ends.
-    pub recorder: Recorder,
-    /// The engine's metrics registry; every instrumented subsystem
-    /// (server, scheduler, DAC front ends, network) writes into it.
+    /// The engine's metrics registry, the one sample store: every
+    /// instrumented subsystem (server, scheduler, DAC front ends,
+    /// network) writes into it.
     pub metrics: MetricsRegistry,
     /// The engine's structured event tracer.
     pub tracer: Tracer,
@@ -58,7 +57,6 @@ impl Cluster {
         let mut sim = Engine::new(config.sim.clone());
         let net = Network::new(config.latency.clone(), config.sim.seed ^ 0x6e65_7477);
         let fs = PseudoFs::new();
-        let recorder = Recorder::new();
         let metrics = sim.metrics();
         let tracer = sim.tracer();
         net.attach_metrics(metrics.clone());
@@ -131,8 +129,7 @@ impl Cluster {
         let server_id = sim.add_actor(Box::new(server));
         net.bind(server_addr(head), Endpoint::Actor(server_id));
 
-        let sched = MauiScheduler::new(net.clone(), head, config.sched.clone())
-            .with_recorder(recorder.clone());
+        let sched = MauiScheduler::new(net.clone(), head, config.sched.clone());
         let sched_id = sim.add_actor(Box::new(sched));
         net.bind(sched_addr(head), Endpoint::Actor(sched_id));
 
@@ -168,7 +165,6 @@ impl Cluster {
             compute,
             accs,
             dpus,
-            recorder,
             metrics,
             tracer,
             node_db,

@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use darms_sim::{
         to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines, HistogramSummary,
-        MetricsRegistry, Recorder, SimDuration, SimStats, SimTime, Summary, TraceEvent,
-        TraceEventKind, TraceSource, Tracer,
+        MetricsRegistry, SimDuration, SimStats, SimTime, TraceEvent, TraceEventKind, TraceSource,
+        Tracer,
     };
 }

@@ -25,8 +25,6 @@ pub struct DacCostModel {
     pub request_overhead: SimDuration,
     /// Front-end per-request bookkeeping.
     pub frontend_overhead: SimDuration,
-    /// Chunk size of the pipelined transfer protocol (\[7\]).
-    pub chunk_bytes: u64,
     /// Overlap device copies with the wire transfer (the pipelined
     /// protocol of \[7\]); disabled by the transfer ablation study.
     pub pipelined: bool,
@@ -52,7 +50,6 @@ impl DacCostModel {
             port_poll: SimDuration::from_millis(2),
             request_overhead: SimDuration::from_micros(50),
             frontend_overhead: SimDuration::from_micros(20),
-            chunk_bytes: 1 << 20,
             pipelined: true,
             request_timeout: SimDuration::from_secs(5),
             ctl_bytes: 128,
@@ -69,7 +66,6 @@ impl DacCostModel {
             port_poll: SimDuration::from_micros(100),
             request_overhead: SimDuration::ZERO,
             frontend_overhead: SimDuration::ZERO,
-            chunk_bytes: 1 << 20,
             pipelined: true,
             request_timeout: SimDuration::from_secs(5),
             ctl_bytes: 0,

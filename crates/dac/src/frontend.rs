@@ -14,7 +14,7 @@ use darms_mpi::{data, Comm, MpiError, MpiProc, Rank};
 use darms_net::{Address, HostId, Network};
 use darms_rms::proto::{DeviceClass, DynGrant, DynReject, DynResource};
 use darms_rms::{ifl, ClientId, JobCtx, JobId, PseudoFs};
-use darms_sim::Recorder;
+use darms_sim::MetricsRegistry;
 
 use crate::device::DevPtr;
 use crate::kernel::KernelArgs;
@@ -123,7 +123,8 @@ pub struct AcSession {
     /// flight (or duplicated by a faulty network) and must be discarded
     /// on arrival instead of being stashed against a future request.
     tombstones: std::collections::BTreeSet<u64>,
-    recorder: Option<Recorder>,
+    /// Where the Fig. 7 phase split is recorded, if anywhere.
+    phases: Option<MetricsRegistry>,
 }
 
 /// File a reply received while waiting for `want`. `Some` means the wait
@@ -153,13 +154,17 @@ impl AcSession {
     /// accelerators 1..=x). Returns the session and the handles of the
     /// static accelerators.
     ///
-    /// With a [`Recorder`] attached, records `acinit.wait` (time until the
-    /// daemons were ready — the dark region of the paper's Fig. 7(a)) and
-    /// `acinit.connect` (communicator construction — the light region).
+    /// Given a registry in `phases`, records the histograms `acinit.wait`
+    /// (time until the daemons were ready — the dark region of the
+    /// paper's Fig. 7(a)) and `acinit.connect` (communicator construction
+    /// — the light region) there, and later the `acget.*` split of every
+    /// [`AcSession::ac_get`]. The figures pass the engine's registry
+    /// (`jc.proc.metrics()`); the frozen `perfbench/` package passes
+    /// `None`, which is why the parameter stays until ROADMAP item 2.
     pub async fn init(
         jc: &JobCtx,
         dac: &DacRuntime,
-        recorder: Option<Recorder>,
+        phases: Option<MetricsRegistry>,
     ) -> (Self, Vec<AcHandle>) {
         let x = jc.acc_hosts.len();
         let t0 = jc.proc.now();
@@ -176,7 +181,7 @@ impl AcSession {
             next_req: 1,
             stashed: std::collections::BTreeMap::new(),
             tombstones: std::collections::BTreeSet::new(),
-            recorder,
+            phases,
         };
         if x == 0 {
             return (session, Vec::new());
@@ -204,9 +209,9 @@ impl AcSession {
             });
             out.push(AcHandle(i));
         }
-        if let Some(rec) = &session.recorder {
-            rec.record_duration("acinit.wait", t1 - t0);
-            rec.record_duration("acinit.connect", t2 - t1);
+        if let Some(phases) = &session.phases {
+            phases.observe_duration("acinit.wait", t1 - t0);
+            phases.observe_duration("acinit.connect", t2 - t1);
         }
         (session, out)
     }
@@ -576,10 +581,11 @@ impl AcSession {
     /// `MPI_Comm_spawn` over the current session communicator and merged
     /// in (old accelerators keep their ranks; new ones follow, §III-D).
     ///
-    /// With a [`Recorder`] attached, records `acget.batch` (the batch
-    /// system portion — the dark region of the paper's Fig. 7(b)) and
-    /// `acget.mpi` (spawn + communicator construction — the light
-    /// region); rejections record `acget.rejected`.
+    /// With a phase registry (see [`AcSession::init`]), records
+    /// `acget.batch` (the batch system portion — the dark region of the
+    /// paper's Fig. 7(b)) and `acget.mpi` (spawn + communicator
+    /// construction — the light region); rejections record
+    /// `acget.rejected`.
     pub async fn ac_get(&mut self, count: u32) -> Result<AcSet, DacError> {
         self.ac_get_range(count, count).await
     }
@@ -651,8 +657,8 @@ impl AcSession {
         let grant = match grant {
             Ok(g) => g,
             Err(r) => {
-                if let Some(rec) = &self.recorder {
-                    rec.record_duration("acget.rejected", t1 - t0);
+                if let Some(phases) = &self.phases {
+                    phases.observe_duration("acget.rejected", t1 - t0);
                 }
                 metrics.counter_inc("dac.acget_rejected");
                 metrics.observe_duration("dac.acget_latency", t1 - t0);
@@ -661,9 +667,9 @@ impl AcSession {
         };
         let set = self.adopt_grant(grant.client_id, grant.accs, grant.slices).await?;
         let t2 = self.mpi.proc().now();
-        if let Some(rec) = &self.recorder {
-            rec.record_duration("acget.batch", t1 - t0);
-            rec.record_duration("acget.mpi", t2 - t1);
+        if let Some(phases) = &self.phases {
+            phases.observe_duration("acget.batch", t1 - t0);
+            phases.observe_duration("acget.mpi", t2 - t1);
         }
         metrics.counter_inc("dac.acget_granted");
         metrics.observe_duration("dac.acget_latency", t2 - t0);

@@ -24,7 +24,7 @@
 use std::path::Path;
 
 use darms_experiments::{runner, soak};
-use darms_sim::QuantileEstimator;
+use darms_sim::SloSummary;
 
 fn parse_range(s: &str) -> Option<(u64, u64)> {
     let (a, b) = s.split_once("..")?;
@@ -39,8 +39,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn quantile_line(label: &str, est: &QuantileEstimator) -> String {
-    match est.summary() {
+fn quantile_line(label: &str, samples: &[f64]) -> String {
+    match SloSummary::of(samples) {
         Some(s) => format!(
             "{label}: n={} p50={:.6}s p99={:.6}s p999={:.6}s",
             s.count, s.p50, s.p99, s.p999
@@ -121,10 +121,8 @@ fn main() {
     let mut cells_run = 0usize;
     let mut total_events = 0u64;
     let (mut jobs, mut completed, mut cancelled) = (0usize, 0usize, 0usize);
-    let mut q_faultfree = QuantileEstimator::new();
-    let mut q_faulty = QuantileEstimator::new();
-    let mut g_faultfree = QuantileEstimator::new();
-    let mut g_faulty = QuantileEstimator::new();
+    let (mut q_faultfree, mut q_faulty, mut g_faultfree, mut g_faulty) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut bundles: Vec<String> = Vec::new();
 
     let mut batch_from = from;
@@ -146,8 +144,8 @@ fn main() {
             } else {
                 (&mut q_faultfree, &mut g_faultfree)
             };
-            q.observe_all(&o.qsub_to_run);
-            g.observe_all(&o.dynget_to_grant);
+            q.extend_from_slice(&o.qsub_to_run);
+            g.extend_from_slice(&o.dynget_to_grant);
             if !o.clean() {
                 dirty += 1;
                 println!("cell {}: VIOLATIONS", o.cell.id());

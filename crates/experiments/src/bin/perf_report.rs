@@ -57,7 +57,7 @@ use std::time::Instant;
 use darms_experiments::{
     datacenter, figures, hostmem, replay, runner, soak, DatacenterConfig, ReplayConfig,
 };
-use darms_sim::{Engine, QuantileEstimator, SimConfig, SimDuration};
+use darms_sim::{Engine, SimConfig, SimDuration, SloSummary};
 
 /// Job volumes of the `volume` row (1k hosts, seed 42). 4000 jobs does
 /// not quiesce yet (the overload wedge pinned by
@@ -371,20 +371,18 @@ fn main() {
     // Each cell runs twice (byte-identity), so both runs' events count.
     let soak_events: u64 = soak_outcomes.iter().map(|o| o.events * 2).sum();
     let soak_eps = soak_events as f64 / soak_wall;
-    let mut q_free = QuantileEstimator::new();
-    let mut q_faulty = QuantileEstimator::new();
-    let mut g_free = QuantileEstimator::new();
-    let mut g_faulty = QuantileEstimator::new();
+    let (mut q_free, mut q_faulty, mut g_free, mut g_faulty) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for o in &soak_outcomes {
         let (q, g) = if o.cell.faults.faulty() {
             (&mut q_faulty, &mut g_faulty)
         } else {
             (&mut q_free, &mut g_free)
         };
-        q.observe_all(&o.qsub_to_run);
-        g.observe_all(&o.dynget_to_grant);
+        q.extend_from_slice(&o.qsub_to_run);
+        g.extend_from_slice(&o.dynget_to_grant);
     }
-    let slo_json = |est: &QuantileEstimator| match est.summary() {
+    let slo_json = |samples: &[f64]| match SloSummary::of(samples) {
         Some(s) => format!(
             "{{\"count\": {}, \"p50\": {:.6}, \"p99\": {:.6}, \"p999\": {:.6}}}",
             s.count, s.p50, s.p99, s.p999

@@ -72,8 +72,6 @@ pub struct DatacenterOutcome {
     pub jobs: usize,
     /// Processes still running when the engine stopped.
     pub still_running: u64,
-    /// Jobs that carried static accelerator demand.
-    pub static_acc_jobs: usize,
     /// Jobs that issued a dynamic `AC_Get` mid-run.
     pub dyn_jobs: usize,
     /// Compute-node count.
@@ -155,7 +153,6 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
     let mut cluster = Cluster::build(cluster_cfg);
     let dac = cluster.dac.clone();
 
-    let mut static_acc_jobs = 0usize;
     let mut dyn_jobs = 0usize;
     for (i, arrival) in arrivals.iter().enumerate() {
         let nodes = (nodes_dist.sample_int(&mut rng, 1) as usize).min(compute_nodes);
@@ -168,7 +165,6 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
         // couple of accelerators mid-run, AC_Free before exiting.
         let dynamic = rng.gen_bool(0.25);
         let dyn_count = 1 + u32::from(rng.gen_bool(0.3));
-        static_acc_jobs += usize::from(acpn > 0);
         dyn_jobs += usize::from(dynamic);
 
         let d = dac.clone();
@@ -212,7 +208,6 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
         messages: cluster.net.stats().messages,
         jobs: cfg.jobs,
         still_running: report.still_running,
-        static_acc_jobs,
         dyn_jobs,
         compute_nodes,
         pool,

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use darms::prelude::*;
-use darms_sim::QuantileEstimator;
+use darms_sim::SloSummary;
 use parking_lot::Mutex;
 
 use crate::invariants::Audit;
@@ -103,9 +103,7 @@ pub fn fabric_sweep(kernels: usize, seed: u64) -> Vec<FabricLatencyRow> {
         .into_iter()
         .map(|class| {
             let lats = dispatch_latency_trial(class, kernels, seed);
-            let mut est = QuantileEstimator::new();
-            est.observe_all(&lats);
-            let s = est.summary().expect("kernels > 0");
+            let s = SloSummary::of(&lats).expect("kernels > 0");
             FabricLatencyRow { class, kernels, p50: s.p50, p99: s.p99 }
         })
         .collect()

@@ -78,19 +78,17 @@ fn stddev(values: &[f64]) -> f64 {
 pub fn fig7a_trial(x: usize, seed: u64) -> (f64, f64) {
     let mut cluster = Cluster::build(ClusterConfig::paper_testbed(seed).with_split(1, 6));
     let dac = cluster.dac.clone();
-    let rec = cluster.recorder.clone();
     let spec = JobSpec::synthetic("acinit", secs(1)).acpn(x as u32).script(script(move |jc| {
         let dac = dac.clone();
-        let rec = rec.clone();
         async move {
-            let (ses, _) = AcSession::init(&jc, &dac, Some(rec)).await;
+            let (ses, _) = AcSession::init(&jc, &dac, Some(jc.proc.metrics())).await;
             ses.finalize();
         }
     }));
     cluster.qsub(spec);
     Audit::end_of_run().run(&mut cluster).1.assert_clean("fig7a trial");
-    let wait = cluster.recorder.summary("acinit.wait").expect("recorded").mean;
-    let connect = cluster.recorder.summary("acinit.connect").expect("recorded").mean;
+    let wait = cluster.metrics.histogram("acinit.wait").expect("recorded").mean;
+    let connect = cluster.metrics.histogram("acinit.connect").expect("recorded").mean;
     (wait, connect)
 }
 
@@ -109,12 +107,10 @@ pub fn fig7b(trials: usize) -> Vec<Fig7Row> {
 pub fn fig7b_trial(y: usize, seed: u64) -> (f64, f64) {
     let mut cluster = Cluster::build(ClusterConfig::paper_testbed(seed).with_split(1, 7));
     let dac = cluster.dac.clone();
-    let rec = cluster.recorder.clone();
     let spec = JobSpec::synthetic("acget", secs(5)).acpn(1).script(script(move |jc| {
         let dac = dac.clone();
-        let rec = rec.clone();
         async move {
-            let (mut ses, _) = AcSession::init(&jc, &dac, Some(rec)).await;
+            let (mut ses, _) = AcSession::init(&jc, &dac, Some(jc.proc.metrics())).await;
             let set = ses.ac_get(y as u32).await.expect("idle pool satisfies the request");
             ses.ac_free(&set).await.unwrap();
             ses.finalize();
@@ -122,8 +118,8 @@ pub fn fig7b_trial(y: usize, seed: u64) -> (f64, f64) {
     }));
     cluster.qsub(spec);
     Audit::end_of_run().run(&mut cluster).1.assert_clean("fig7b trial");
-    let batch = cluster.recorder.summary("acget.batch").expect("recorded").mean;
-    let mpi = cluster.recorder.summary("acget.mpi").expect("recorded").mean;
+    let batch = cluster.metrics.histogram("acget.batch").expect("recorded").mean;
+    let mpi = cluster.metrics.histogram("acget.mpi").expect("recorded").mean;
     (batch, mpi)
 }
 
@@ -211,7 +207,6 @@ fn fig8_trial_run(load: usize, seed: u64, trace: bool) -> (f64, f64, SimStats, V
     }
     let mut cluster = Cluster::build(cfg);
     let dac = cluster.dac.clone();
-    let rec = cluster.recorder.clone();
 
     // Filler job pins the second compute node for the whole run.
     let filler = JobSpec::synthetic("filler", secs(120)).ppn(8).walltime(secs(150));
@@ -227,9 +222,8 @@ fn fig8_trial_run(load: usize, seed: u64, trace: bool) -> (f64, f64, SimStats, V
     // The DAC job issues AC_Get(1) right after the burst.
     let spec = JobSpec::synthetic("dac", secs(60)).ppn(8).script(script(move |jc| {
         let dac = dac.clone();
-        let rec = rec.clone();
         async move {
-            let (mut ses, _) = AcSession::init(&jc, &dac, Some(rec)).await;
+            let (mut ses, _) = AcSession::init(&jc, &dac, Some(jc.proc.metrics())).await;
             let now = jc.proc.now();
             let target = SimTime::ZERO + secs(10) + SimDuration::from_millis(5);
             if target > now {
@@ -245,8 +239,8 @@ fn fig8_trial_run(load: usize, seed: u64, trace: bool) -> (f64, f64, SimStats, V
     let (stats, report) = Audit::end_of_run().run(&mut cluster);
     report.assert_clean("fig8 trial");
     let events = cluster.sim.take_events();
-    let batch = cluster.recorder.summary("acget.batch").expect("recorded").mean;
-    let mpi = cluster.recorder.summary("acget.mpi").expect("recorded").mean;
+    let batch = cluster.metrics.histogram("acget.batch").expect("recorded").mean;
+    let mpi = cluster.metrics.histogram("acget.mpi").expect("recorded").mean;
     // The Fig. 8 waiting quantity comes straight from the scheduler's
     // registry instrumentation (`sched.dyn_wait` histogram).
     let others = cluster.metrics.histogram("sched.dyn_wait").expect("instrumented").mean;
@@ -287,15 +281,12 @@ pub fn fig9(trials: usize) -> Vec<Fig9Row> {
 pub fn fig9_trial(seed: u64) -> [f64; 3] {
     let mut cluster = Cluster::build(ClusterConfig::paper_testbed(seed).with_split(3, 4));
     let dac = cluster.dac.clone();
-    let rec = cluster.recorder.clone();
     for i in 0..3 {
         let d = dac.clone();
-        let r = rec.clone();
         let spec = JobSpec::synthetic(format!("job{i}"), secs(30)).script(script(move |jc| {
             let d = d.clone();
-            let r = r.clone();
             async move {
-                let (mut ses, _) = AcSession::init(&jc, &d, Some(r)).await;
+                let (mut ses, _) = AcSession::init(&jc, &d, Some(jc.proc.metrics())).await;
                 let now = jc.proc.now();
                 let target = SimTime::ZERO + secs(5);
                 if target > now {
@@ -309,7 +300,7 @@ pub fn fig9_trial(seed: u64) -> [f64; 3] {
         cluster.qsub(spec);
     }
     Audit::end_of_run().run(&mut cluster).1.assert_clean("fig9 trial");
-    let mut lat = cluster.recorder.values("acget.batch");
+    let mut lat = cluster.metrics.histogram_samples("acget.batch");
     assert_eq!(lat.len(), 3);
     lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     [lat[0], lat[1], lat[2]]

@@ -2,7 +2,7 @@
 //!
 //! One scenario function per figure of §IV, each runnable standalone
 //! (`cargo run -p darms-experiments --bin fig7a` etc.) and shared by the
-//! criterion benches. All scenarios run on the paper-calibrated cost
+//! tests and `perf_report`. All scenarios run on the paper-calibrated cost
 //! models and average over multiple seeded trials, mirroring the paper's
 //! "average over 10 trials".
 

@@ -12,9 +12,10 @@
 //! - byte-identical trace on the second run.
 //!
 //! Alongside the invariants every cell reports its latency SLO samples
-//! (`qsub→run` and `dynget→grant`, in seconds) so the sweep can
-//! aggregate exact p50/p99/p999 quantiles with and without faults
-//! (see [`darms_sim::QuantileEstimator`]).
+//! (`qsub→run` and `dynget→grant`, in seconds, read from the cell's
+//! `rms.qsub_to_run` and `rms.dynget_to_grant` histograms) so the sweep
+//! can pool them and take exact p50/p99/p999 quantiles with and without
+//! faults (see [`darms_sim::SloSummary::of`]).
 //!
 //! On any violation the cell is packaged into a **triage bundle** — a
 //! self-contained directory under `soak_triage/` holding the cell

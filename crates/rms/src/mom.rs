@@ -64,8 +64,6 @@ pub struct JobCtx {
     pub fs: PseudoFs,
     /// The server's address.
     pub server: Address,
-    /// The mother superior mom's address.
-    pub ms_mom: Address,
     /// Latched once a [`TaskKill`] has been observed.
     killed: bool,
 }
@@ -165,6 +163,14 @@ struct MomJob {
     task_pids: Vec<ProcessId>,
     /// Timer token of the armed walltime kill, if any.
     walltime_timer: Option<u64>,
+    /// Tokens of completed dynamic joins (mother superior): a duplicate
+    /// `DynJoinCmd` is answered by re-sending `DynReady`. Dropped with
+    /// the job, so a duplicate that arrives after the job left this mom
+    /// gets no answer; the server treats such a late reply as stale.
+    completed_dynjoins: BTreeSet<u64>,
+    /// Completed releases (mother superior): a duplicate `DisjoinCmd` is
+    /// answered by re-sending `FreeDone`. Dropped with the job, likewise.
+    completed_frees: BTreeMap<ClientId, DynSet>,
 }
 
 impl MomJob {
@@ -178,6 +184,8 @@ impl MomJob {
             tasks_done: BTreeSet::new(),
             task_pids: Vec::new(),
             walltime_timer: None,
+            completed_dynjoins: BTreeSet::new(),
+            completed_frees: BTreeMap::new(),
         }
     }
 }
@@ -218,12 +226,6 @@ pub struct PbsMom {
     /// `JobExit`s awaiting the server's ack, with remaining resend
     /// attempts (only populated when a retry policy is active).
     exit_pending: BTreeMap<JobId, (JobExit, u32)>,
-    /// Tokens of completed dynamic joins: a duplicate `DynJoinCmd` is
-    /// answered by re-sending `DynReady`.
-    completed_dynjoins: BTreeSet<u64>,
-    /// Completed releases: a duplicate `DisjoinCmd` is answered by
-    /// re-sending `FreeDone`.
-    completed_frees: BTreeMap<ClientId, (JobId, DynSet)>,
 }
 
 /// Reserved timer token for the mom's retransmit tick.
@@ -255,8 +257,6 @@ impl PbsMom {
             name: format!("pbs_mom@host{}", host.index()),
             done_jobs: BTreeMap::new(),
             exit_pending: BTreeMap::new(),
-            completed_dynjoins: BTreeSet::new(),
-            completed_frees: BTreeMap::new(),
         }
     }
 
@@ -387,7 +387,6 @@ impl PbsMom {
                     net: net.clone(),
                     fs,
                     server,
-                    ms_mom,
                     killed: false,
                 };
                 match &script {
@@ -465,14 +464,14 @@ impl PbsMom {
     // -- mother superior: dynamic join and release -------------------------
 
     fn handle_dynjoin_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: DynJoinCmd) {
-        if self.completed_dynjoins.contains(&cmd.token) {
+        let Some(rec) = self.jobs.get(&cmd.job) else { return };
+        if rec.completed_dynjoins.contains(&cmd.token) {
             // Duplicate of a join already finished: the server missed our
             // DynReady; repeat it.
             let ready = DynReady { job: cmd.job, token: cmd.token };
             self.send_to(ctx, server_addr(self.head), ready);
             return;
         }
-        let Some(rec) = self.jobs.get(&cmd.job) else { return };
         let key = (SisterOp::DynJoin, None);
         let in_progress = rec.exchanges.get(&key).map(|ex| &ex.then);
         if matches!(in_progress, Some(Completion::DynReady { token, .. }) if *token == cmd.token) {
@@ -494,10 +493,11 @@ impl PbsMom {
     }
 
     fn handle_disjoin_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: DisjoinCmd) {
-        if let Some((job, set)) = self.completed_frees.get(&cmd.client_id) {
+        let done = self.jobs.get(&cmd.job).and_then(|rec| rec.completed_frees.get(&cmd.client_id));
+        if let Some(set) = done {
             // Duplicate of a finished release: the server missed our
             // FreeDone; repeat it.
-            let free_done = FreeDone { job: *job, set: set.clone() };
+            let free_done = FreeDone { job: cmd.job, set: set.clone() };
             self.send_to(ctx, server_addr(self.head), free_done);
             return;
         }
@@ -603,8 +603,8 @@ impl PbsMom {
             Completion::DynReady { token, accs } => {
                 if let Some(rec) = self.jobs.get_mut(&job) {
                     rec.dyn_hosts.extend(accs);
+                    rec.completed_dynjoins.insert(token);
                 }
-                self.completed_dynjoins.insert(token);
                 self.send_to(ctx, server_addr(self.head), DynReady { job, token });
             }
             Completion::FreeDone(set) => {
@@ -616,7 +616,7 @@ impl PbsMom {
                     .collect();
                 let removed = set.accs.clone();
                 if self.net.retry_policy().is_some() {
-                    self.completed_frees.insert(set.client_id, (job, set.clone()));
+                    rec.completed_frees.insert(set.client_id, set.clone());
                 }
                 self.send_to(ctx, server_addr(self.head), FreeDone { job, set });
                 for h in remaining {
@@ -861,6 +861,8 @@ mod tests {
         /// Job script bodies run: one per task process spawned.
         scripts: Arc<AtomicUsize>,
         updates: Arc<Mutex<Vec<Update>>>,
+        /// Replay-cache entries each mom holds after its last message.
+        cached: Arc<Mutex<BTreeMap<HostId, usize>>>,
     }
 
     /// An `UpdateJobRes` delivery: (receiving host, added, removed).
@@ -891,6 +893,13 @@ mod tests {
                 self.seen.updates.lock().push((self.mom.host, u.added.clone(), u.removed.clone()));
             }
             self.mom.on_message(ctx, env);
+            let cached = self
+                .mom
+                .jobs
+                .values()
+                .map(|j| j.completed_dynjoins.len() + j.completed_frees.len())
+                .sum();
+            self.seen.cached.lock().insert(self.mom.host, cached);
         }
 
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -1074,5 +1083,63 @@ mod tests {
         let short_circuits =
             engine.take_events().iter().filter(|ev| ev.name.contains("short-circuited")).count();
         assert_eq!(short_circuits, 1);
+    }
+
+    /// The mother superior's replay caches live and die with the job: a
+    /// duplicate `DynJoinCmd` or `DisjoinCmd` is answered again while the
+    /// job runs, and gets silence once the job has left the mom, with no
+    /// cache entry left behind.
+    #[test]
+    fn replay_caches_are_dropped_with_the_job() {
+        let (mut engine, d) = rig(1);
+        d.net.set_retry_policy(Some(RetryPolicy::standard()));
+        let cached = d.seen.cached.clone();
+        let (ms, d1) = (d.ms, d.accs[0]);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let out = log.clone();
+        engine.spawn_process("server", move |p: Proc| async move {
+            d.net.bind(server_addr(d.head), p.endpoint());
+            let join = DynJoinCmd { job: JOB, token: 1, accs: vec![d1] };
+            let release = DisjoinCmd {
+                job: JOB,
+                client_id: ClientId(1),
+                accs: vec![d1],
+                slices: Vec::new(),
+                ppn: 0,
+            };
+            d.send_job(&p, Vec::new());
+            p.sleep(secs(2)).await;
+            d.send(&p, join.clone());
+            p.sleep(secs(2)).await;
+            d.send(&p, release.clone());
+            p.sleep(secs(2)).await;
+            d.send(&p, join.clone());
+            d.send(&p, release.clone());
+            p.sleep(secs(1)).await;
+            let mut seen = d.server_log(&p);
+            seen.push(format!("cached {:?}", cached.lock().get(&ms)));
+            // The job's one task ends at about 30 s.
+            p.sleep(secs(40)).await;
+            d.send(&p, join);
+            d.send(&p, release);
+            p.sleep(secs(2)).await;
+            seen.extend(d.server_log(&p));
+            seen.push(format!("cached {:?}", cached.lock().get(&ms)));
+            *out.lock() = seen;
+        });
+        engine.run_until(SimTime::ZERO + secs(60));
+        assert_eq!(engine.stats().process_panics, 0);
+        assert_eq!(
+            *log.lock(),
+            vec![
+                "JobStarted 1",
+                "DynReady 1",
+                "FreeDone client1",
+                "DynReady 1",
+                "FreeDone client1",
+                "cached Some(2)",
+                "cached Some(0)",
+            ]
+        );
     }
 }

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use darms_net::{HostId, Network};
 use darms_rms::proto::*;
 use darms_rms::{sched_addr, server_addr, JobId};
-use darms_sim::{Actor, Ctx, Envelope, Recorder, SimDuration, SimTime, TraceSource};
+use darms_sim::{Actor, Ctx, Envelope, MetricsRegistry, SimDuration, SimTime, TraceSource};
 
 use crate::alloc::{split_accs, AllocPolicy, FreeTracker};
 use crate::backfill::{may_backfill, shadow_time};
@@ -195,7 +195,9 @@ pub struct MauiScheduler {
     /// server) since the last snapshot. Listed in the next query's
     /// `refresh` set so a server-side rejection cannot strand the cache.
     touched: BTreeSet<HostId>,
-    recorder: Option<Recorder>,
+    /// A second registry that also receives `sched.dyn_wait` samples;
+    /// see [`MauiScheduler::with_recorder`].
+    recorder: Option<MetricsRegistry>,
     /// Virtual time the current iteration's snapshot arrived (for the
     /// `sched.iteration_cost` histogram).
     iter_began: Option<SimTime>,
@@ -237,10 +239,12 @@ impl MauiScheduler {
         }
     }
 
-    /// Attach a recorder; the scheduler then records `sched.dyn_wait`
-    /// samples (seconds a dynamic request spent waiting on scheduling of
-    /// other work — the light region of the paper's Fig. 8).
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
+    /// Also record `sched.dyn_wait` samples (seconds a dynamic request
+    /// spent waiting on scheduling of other work — the light region of
+    /// the paper's Fig. 8) into `rec`, besides the engine's registry.
+    /// Kept only for the frozen `perfbench/` package, which calls it;
+    /// it goes with ROADMAP item 2.
+    pub fn with_recorder(mut self, rec: MetricsRegistry) -> Self {
         self.recorder = Some(rec);
         self
     }
@@ -467,7 +471,7 @@ impl MauiScheduler {
                     if me.last_dyn_recorded != Some(d.token) {
                         me.last_dyn_recorded = Some(d.token);
                         if let Some(rec) = &me.recorder {
-                            rec.record_duration("sched.dyn_wait", wait);
+                            rec.observe_duration("sched.dyn_wait", wait);
                         }
                         let metrics = ctx.metrics();
                         metrics.observe_duration("sched.dyn_wait", wait);

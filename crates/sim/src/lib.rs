@@ -13,12 +13,12 @@
 //!   purpose-built single-threaded executor inside the engine (no OS
 //!   threads, no `Send` bounds), so runs are bit-for-bit reproducible
 //!   for a given seed;
-//! - a seeded RNG, an optional event trace, and a [`Recorder`] for
-//!   collecting experiment measurements;
+//! - a seeded RNG and an optional event trace;
 //! - an observability layer: a structured event stream ([`Tracer`],
 //!   exported as JSON-lines or Chrome `trace_event` via [`export`]), a
 //!   [`MetricsRegistry`] of counters / gauges / time-weighted gauges /
-//!   histograms, and engine profiling counters in [`SimStats`].
+//!   histograms — the one store of experiment measurements — and engine
+//!   profiling counters in [`SimStats`].
 //!
 //! ## Example
 //!
@@ -53,7 +53,6 @@ mod kernel;
 pub mod metrics;
 mod process;
 mod queue;
-mod recorder;
 mod time;
 pub mod trace;
 
@@ -63,9 +62,49 @@ pub use envelope::{ActorId, Endpoint, Envelope, ProcessId};
 pub use export::{to_chrome_trace, to_json_lines, write_chrome_trace, write_json_lines};
 pub use kernel::{Kernel, PollWaiter, SimConfig, SimStats};
 pub use metrics::{
-    exact_quantile, Counter, HistogramSummary, MetricsRegistry, QuantileEstimator, SloSummary,
+    exact_quantile, percentile, Counter, HistogramSummary, MetricsRegistry, SloSummary,
 };
 pub use process::{Proc, ProcFuture};
-pub use recorder::{percentile, Recorder, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceEventKind, TraceSource, Tracer};
+
+/// The old name of the sample store, kept only because the frozen
+/// `perfbench/` package still builds one; it goes with ROADMAP item 2.
+pub type Recorder = MetricsRegistry;
+
+/// What the frozen `perfbench/` package relies on: a [`Recorder`] is a
+/// registry whose histograms record and summarise samples.
+#[cfg(test)]
+mod recorder {
+    mod tests {
+        use crate::{Recorder, SimDuration};
+
+        #[test]
+        fn record_and_summarise() {
+            let r = Recorder::new();
+            for v in [1.0, 2.0, 3.0, 4.0] {
+                r.observe("x", v);
+            }
+            let s = r.histogram("x").unwrap();
+            assert_eq!(s.count, 4);
+            assert!((s.mean - 2.5).abs() < 1e-12);
+            assert_eq!(s.min, 1.0);
+            assert_eq!(s.max, 4.0);
+            assert!((s.p50 - 2.5).abs() < 1e-12);
+        }
+
+        #[test]
+        fn empty_series_has_no_summary() {
+            let r = Recorder::new();
+            assert!(r.histogram("missing").is_none());
+            assert!(r.histogram_samples("missing").is_empty());
+        }
+
+        #[test]
+        fn durations_stored_as_seconds() {
+            let r = Recorder::new();
+            r.observe_duration("d", SimDuration::from_millis(250));
+            assert_eq!(r.histogram_samples("d"), vec![0.25]);
+        }
+    }
+}

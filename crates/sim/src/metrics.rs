@@ -2,15 +2,15 @@
 //! integrated over *virtual* time, and histograms with quantile
 //! summaries.
 //!
-//! The registry complements the sample-series [`crate::Recorder`]: the
-//! `Recorder` keeps raw named samples for offline analysis, the
-//! `MetricsRegistry` is the uniform instrumentation surface every
-//! subsystem (server, scheduler, DAC, network, engine) writes through.
-//! It is cloneable — all clones share state — and mergeable:
+//! The `MetricsRegistry` is the one place a sample is stored: every
+//! subsystem (server, scheduler, DAC, network, engine) writes through
+//! it, and the experiment harnesses read their figures back out of its
+//! histograms. It is cloneable — all clones share state — and mergeable:
 //! [`MetricsRegistry::merge_from`] folds another registry in such that
 //! the result equals having recorded everything into one registry
 //! (counters sum; histograms pool samples; time-weighted gauges merge
-//! their update timelines).
+//! their update timelines). [`SloSummary::of`] answers the exact
+//! nearest-rank SLO quantiles of a pooled sample set.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,13 +18,26 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::recorder::percentile;
 use crate::time::{SimDuration, SimTime};
+
+/// Linear-interpolation percentile of an already sorted slice.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "percentile of empty slice");
+    let q = q.clamp(0.0, 1.0);
+    if sorted.len() == 1 {
+        return sorted[0];
+    }
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+}
 
 /// Exact nearest-rank quantile of a **sorted** sample slice: the
 /// smallest sample `x` such that at least `q · n` samples are `<= x`
 /// (`sorted[ceil(q·n) - 1]`, clamped to the valid range). Unlike
-/// [`crate::percentile`] this never interpolates — the result is always
+/// [`percentile`] this never interpolates — the result is always
 /// an observed sample, which is the right definition for latency SLOs
 /// ("p999 = the slowest request among the fastest 99.9%"). Returns
 /// `None` on an empty slice.
@@ -51,60 +64,11 @@ pub struct SloSummary {
     pub p999: f64,
 }
 
-/// Accumulates a latency stream and answers exact quantile queries.
-///
-/// The estimator is *exact*: it keeps every sample (the soak workloads
-/// produce at most a few hundred thousand latency points, so the memory
-/// cost is trivial next to the event heap) and sorts lazily per query.
-/// Mergeable: [`QuantileEstimator::absorb`] pools two streams such that
-/// the result equals one estimator having observed both.
-#[derive(Clone, Debug, Default)]
-pub struct QuantileEstimator {
-    samples: Vec<f64>,
-}
-
-impl QuantileEstimator {
-    /// A new, empty estimator.
-    pub fn new() -> Self {
-        QuantileEstimator::default()
-    }
-
-    /// Record one sample.
-    pub fn observe(&mut self, value: f64) {
-        self.samples.push(value);
-    }
-
-    /// Record every sample of `values`.
-    pub fn observe_all(&mut self, values: &[f64]) {
-        self.samples.extend_from_slice(values);
-    }
-
-    /// Pool another estimator's samples into this one.
-    pub fn absorb(&mut self, other: &QuantileEstimator) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Number of samples observed so far.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// True when no sample has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Exact nearest-rank `q`-quantile of the stream so far; `None`
-    /// when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("quantile samples must be ordered"));
-        exact_quantile(&sorted, q)
-    }
-
-    /// Exact p50/p99/p999 summary; `None` when empty.
-    pub fn summary(&self) -> Option<SloSummary> {
-        let mut sorted = self.samples.clone();
+impl SloSummary {
+    /// Exact p50/p99/p999 of `samples`, in any order; `None` when
+    /// empty. Pooling streams is concatenating their samples.
+    pub fn of(samples: &[f64]) -> Option<SloSummary> {
+        let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("quantile samples must be ordered"));
         Some(SloSummary {
             count: sorted.len() as u64,
@@ -432,44 +396,52 @@ mod tests {
             m3.observe("h", v);
         }
         let s3 = m3.histogram("h").unwrap();
-        assert_eq!(s3.p50, 3.0);
+        assert_eq!((s3.count, s3.mean, s3.p50), (5, 3.0, 3.0));
         assert_eq!((s3.min, s3.max), (1.0, 5.0));
+    }
+
+    #[test]
+    fn estimator_absorb_pools_streams() {
+        // Absorbing one stream into another is merging the registries
+        // that hold them (or concatenating the sample vectors).
+        let a = MetricsRegistry::new();
+        let b = MetricsRegistry::new();
+        for v in [1.0, 2.0] {
+            a.observe("lat", v);
+        }
+        for v in [3.0, 4.0] {
+            b.observe("lat", v);
+        }
+        a.merge_from(&b);
+        let pooled = SloSummary::of(&a.histogram_samples("lat")).unwrap();
+        assert_eq!((pooled.count, pooled.p50, pooled.p999), (4, 2.0, 4.0));
+        assert_eq!(b.histogram_samples("lat"), vec![3.0, 4.0], "the source is left untouched");
     }
 
     #[test]
     fn exact_quantiles_are_nearest_rank() {
         // Empty stream: no quantiles.
         assert_eq!(exact_quantile(&[], 0.5), None);
-        let e = QuantileEstimator::new();
-        assert!(e.is_empty());
-        assert_eq!(e.summary(), None);
+        assert_eq!(SloSummary::of(&[]), None);
         // Single sample: every quantile is that sample.
-        let mut e = QuantileEstimator::new();
-        e.observe(7.0);
-        let s = e.summary().unwrap();
+        let s = SloSummary::of(&[7.0]).unwrap();
         assert_eq!((s.count, s.p50, s.p99, s.p999), (1, 7.0, 7.0, 7.0));
         // 1..=1000: nearest-rank p50 = 500, p99 = 990, p999 = 999 — all
         // observed samples, no interpolation.
-        let mut e = QuantileEstimator::new();
-        for v in (1..=1000).rev() {
-            e.observe(v as f64);
-        }
-        let s = e.summary().unwrap();
+        let samples: Vec<f64> = (1..=1000).rev().map(|v| v as f64).collect();
+        let s = SloSummary::of(&samples).unwrap();
         assert_eq!((s.p50, s.p99, s.p999), (500.0, 990.0, 999.0));
-        assert_eq!(e.quantile(0.0), Some(1.0));
-        assert_eq!(e.quantile(1.0), Some(1000.0));
+        let sorted: Vec<f64> = (1..=1000).map(|v| v as f64).collect();
+        assert_eq!(exact_quantile(&sorted, 0.0), Some(1.0));
+        assert_eq!(exact_quantile(&sorted, 1.0), Some(1000.0));
     }
 
     #[test]
-    fn estimator_absorb_pools_streams() {
-        let mut a = QuantileEstimator::new();
-        let mut b = QuantileEstimator::new();
-        a.observe_all(&[1.0, 2.0]);
-        b.observe_all(&[3.0, 4.0]);
-        a.absorb(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.quantile(1.0), Some(4.0));
-        assert_eq!(b.count(), 2, "absorb leaves the source untouched");
+    fn percentile_interpolates() {
+        let v = [10.0, 20.0, 30.0, 40.0];
+        assert_eq!(percentile(&v, 0.0), 10.0);
+        assert_eq!(percentile(&v, 1.0), 40.0);
+        assert!((percentile(&v, 0.5) - 25.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,23 +14,20 @@ use parking_lot::Mutex;
 fn main() {
     let mut cluster = Cluster::build(ClusterConfig::paper_testbed(7).with_split(1, 6));
     let dac = cluster.dac.clone();
-    let recorder = cluster.recorder.clone();
     let log = Arc::new(Mutex::new(Vec::<String>::new()));
 
     let out = log.clone();
-    let rec = recorder.clone();
     let spec = JobSpec::synthetic("evolving", SimDuration::from_secs(60))
         .owner("bob")
         .acpn(1) // start small: one static accelerator
         .script(script(move |jc| {
             let dac = dac.clone();
-            let rec = rec.clone();
             let out = out.clone();
             async move {
                 let say = |jc: &JobCtx, s: String| {
                     out.lock().push(format!("[t={:>7.3}s] {s}", jc.proc.now().as_secs_f64()));
                 };
-                let (mut ses, statics) = AcSession::init(&jc, &dac, Some(rec.clone())).await;
+                let (mut ses, statics) = AcSession::init(&jc, &dac, Some(jc.proc.metrics())).await;
                 say(&jc, format!("phase 1: warm-up on {} static accelerator", statics.len()));
                 let hs = ses_handles(&ses);
                 run_phase(&mut ses, &hs, &jc, 1 << 14).await;
@@ -73,13 +70,13 @@ fn main() {
     for line in log.lock().iter() {
         println!("{line}");
     }
-    if let Some(batch) = recorder.summary("acget.batch") {
-        let mpi = recorder.summary("acget.mpi").unwrap();
-        println!("\nAC_Get breakdown over {} successful call(s) (cf. paper Fig. 7b):", batch.n);
+    if let Some(batch) = cluster.metrics.histogram("acget.batch") {
+        let mpi = cluster.metrics.histogram("acget.mpi").unwrap();
+        println!("\nAC_Get breakdown over {} successful call(s) (cf. paper Fig. 7b):", batch.count);
         println!("  batch system            : mean {:.3} s", batch.mean);
         println!("  resource mgmt lib (MPI) : mean {:.3} s", mpi.mean);
     }
-    if let Some(rej) = recorder.summary("acget.rejected") {
+    if let Some(rej) = cluster.metrics.histogram("acget.rejected") {
         println!("  rejected request latency: mean {:.3} s", rej.mean);
     }
     println!(

@@ -15,17 +15,14 @@ fn main() {
     // network-attached accelerators, with 2013-calibrated cost models.
     let mut cluster = Cluster::build(ClusterConfig::paper_testbed(42).with_split(1, 6));
     let dac = cluster.dac.clone();
-    let recorder = cluster.recorder.clone();
     let log = Arc::new(Mutex::new(Vec::<String>::new()));
 
     let out = log.clone();
-    let rec = recorder.clone();
     let spec = JobSpec::synthetic("quickstart", SimDuration::from_secs(5))
         .owner("alice")
         .acpn(3)
         .script(script(move |jc| {
             let dac = dac.clone();
-            let rec = rec.clone();
             let out = out.clone();
             async move {
                 let t = |jc: &JobCtx| format!("[t={:>8.3}s]", jc.proc.now().as_secs_f64());
@@ -38,7 +35,7 @@ fn main() {
                 ));
 
                 // AC_Init: wait for the daemons, connect, merge (Fig. 5).
-                let (mut ses, handles) = AcSession::init(&jc, &dac, Some(rec.clone())).await;
+                let (mut ses, handles) = AcSession::init(&jc, &dac, Some(jc.proc.metrics())).await;
                 out.lock().push(format!("{} AC_Init complete: handles {:?}", t(&jc), handles));
 
                 // Offload c = a + b to every accelerator (Listing 1).
@@ -86,8 +83,8 @@ fn main() {
     for line in log.lock().iter() {
         println!("{line}");
     }
-    if let Some(wait) = recorder.summary("acinit.wait") {
-        let connect = recorder.summary("acinit.connect").unwrap();
+    if let Some(wait) = cluster.metrics.histogram("acinit.wait") {
+        let connect = cluster.metrics.histogram("acinit.connect").unwrap();
         println!("\nAC_Init breakdown (cf. paper Fig. 7a):");
         println!("  waiting for daemons : {:.3} s", wait.mean);
         println!("  communicator setup  : {:.3} s", connect.mean);

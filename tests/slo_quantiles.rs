@@ -1,14 +1,14 @@
-//! Property tests for the exact SLO quantile estimator
-//! (`darms_sim::QuantileEstimator`): for arbitrary latency streams —
+//! Property tests for the exact SLO quantiles (`darms_sim::SloSummary::of`
+//! and `darms_sim::exact_quantile`): for arbitrary latency streams —
 //! including empty and single-sample streams — p50/p99/p999 must equal
 //! an independently computed sorted-sample nearest-rank reference, and
 //! every reported quantile must be an actually observed sample.
 
-use darms_sim::{exact_quantile, QuantileEstimator};
+use darms_sim::{exact_quantile, SloSummary};
 use proptest::prelude::*;
 
 /// Independent nearest-rank reference: sort the raw samples and index
-/// `ceil(q·n) - 1` directly (no shared code with the estimator).
+/// `ceil(q·n) - 1` directly (no shared code with the summary).
 fn reference_quantile(samples: &[f64], q: f64) -> Option<f64> {
     if samples.is_empty() {
         return None;
@@ -38,19 +38,18 @@ proptest! {
 
     #[test]
     fn estimator_matches_sorted_sample_reference(stream in latency_stream()) {
-        let mut est = QuantileEstimator::new();
-        est.observe_all(&stream);
-        prop_assert_eq!(est.count(), stream.len() as u64);
+        let mut sorted = stream.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
             prop_assert_eq!(
-                est.quantile(q),
+                exact_quantile(&sorted, q),
                 reference_quantile(&stream, q),
                 "q={} over {} samples",
                 q,
                 stream.len()
             );
         }
-        match est.summary() {
+        match SloSummary::of(&stream) {
             None => prop_assert!(stream.is_empty(), "summary only missing for empty streams"),
             Some(s) => {
                 prop_assert_eq!(s.count, stream.len() as u64);
@@ -68,25 +67,22 @@ proptest! {
         }
     }
 
+    /// Pooling is concatenation, and the order the streams are pooled
+    /// in does not matter.
     #[test]
     fn pooling_streams_equals_one_stream(a in latency_stream(), b in latency_stream()) {
-        let mut pooled = QuantileEstimator::new();
-        pooled.observe_all(&a);
-        pooled.observe_all(&b);
-        let mut absorbed = QuantileEstimator::new();
-        absorbed.observe_all(&a);
-        let mut other = QuantileEstimator::new();
-        other.observe_all(&b);
-        absorbed.absorb(&other);
-        prop_assert_eq!(pooled.summary(), absorbed.summary());
+        let ab: Vec<f64> = a.iter().chain(&b).copied().collect();
+        let ba: Vec<f64> = b.iter().chain(&a).copied().collect();
+        prop_assert_eq!(SloSummary::of(&ab), SloSummary::of(&ba));
+        if let Some(s) = SloSummary::of(&ab) {
+            prop_assert_eq!(s.count, (a.len() + b.len()) as u64);
+        }
     }
 }
 
 #[test]
 fn single_sample_stream_pins_every_quantile() {
-    let mut est = QuantileEstimator::new();
-    est.observe(0.125);
-    let s = est.summary().unwrap();
+    let s = SloSummary::of(&[0.125]).unwrap();
     assert_eq!((s.count, s.p50, s.p99, s.p999), (1, 0.125, 0.125, 0.125));
     assert_eq!(exact_quantile(&[0.125], 0.0), Some(0.125));
     assert_eq!(exact_quantile(&[], 0.5), None);
