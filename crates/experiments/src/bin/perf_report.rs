@@ -7,30 +7,33 @@
 //! ```
 //!
 //! The suite:
-//! 1. **ping-pong** — two processes bouncing a message 200k times: the
+//! 1. **datacenter** — the diurnal front-door scenario at 1k hosts
+//!    (and 10k in full mode): events/sec and peak RSS (`VmHWM`) per
+//!    scale, plus the 10k-vs-1k per-event wall ratio that proves no
+//!    O(hosts) work is left on a per-event path. It runs first, so the
+//!    peak RSS it samples is its own and not another row's.
+//! 2. **ping-pong** — two processes bouncing a message 200k times: the
 //!    pure kernel hot path (send, deliver, future-poll hand-off). The
 //!    pre-PR baseline measured with the same probe on the same class of
 //!    machine is embedded for comparison.
-//! 2. **spawn-churn** — 10k short-lived processes spawned, slept and
+//! 3. **spawn-churn** — 10k short-lived processes spawned, slept and
 //!    retired: process-lifecycle throughput. Impossible at this scale
 //!    with an OS thread per process; trivial for stackless futures.
-//! 3. **fig8** — the paper's scheduler-under-load scenario (the most
+//! 4. **fig8** — the paper's scheduler-under-load scenario (the most
 //!    actor-heavy figure), serially, events/sec and wall per simulated
 //!    second.
-//! 4. **swf_replay** — a scaled SWF replay (process heavy).
-//! 5. **sweep** — the same swf_replay cells serial vs parallel on the
+//! 5. **swf_replay** — a scaled SWF replay (process heavy).
+//! 6. **sweep** — the same swf_replay cells serial vs parallel on the
 //!    trial runner with `available_parallelism()` workers: records both
 //!    rows (serial and parallel) and that the results are identical.
-//! 6. **soak** — a small `(seed × fault-plan × workload)` soak matrix
+//! 7. **soak** — a small `(seed × fault-plan × workload)` soak matrix
 //!    (every cell run twice for byte-identity, invariants audited):
 //!    cells run, violations, events/sec, and the exact p50/p99/p999
 //!    latency SLOs (qsub→run and dynget→grant, split faulty vs
 //!    fault-free) — "production readiness" as a number.
-//! 7. **datacenter** — the diurnal front-door scenario at 1k hosts
-//!    (and 10k in full mode): events/sec and peak RSS (`VmHWM`) per
-//!    scale, plus the 10k-vs-1k per-event wall ratio that proves no
-//!    O(hosts) work is left on a per-event path.
-//! 8. **volume** — the same scenario at 1k hosts, seed 42, with 500,
+//! 8. **fabric** — dispatch latency of one kernel probe on every device
+//!    class, in virtual seconds.
+//! 9. **volume** — the same scenario at 1k hosts, seed 42, with 500,
 //!    1000, 2000 and 3000 jobs: event, network message and
 //!    process-resume (context switch) counts and ns/event per volume, so
 //!    per-event cost that grows with job volume shows up.
@@ -269,157 +272,13 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
     println!("perf_report: mode={mode} cores={cores} sweep_threads={threads}");
 
-    // 1. Ping-pong: best of several runs (first doubles as warm-up).
-    // Full size in both modes, so its exact counts are comparable.
-    let round_trips: u32 = 200_000;
-    let runs = if smoke { 2 } else { 4 };
-    let (mut pp_events, mut pp_switches) = (0u64, 0u64);
-    let mut pp_best_wall = f64::MAX;
-    for _ in 0..runs {
-        let (ev, switches, wall) = pingpong_once(round_trips);
-        (pp_events, pp_switches) = (ev, switches);
-        pp_best_wall = pp_best_wall.min(wall);
-    }
-    let pp_eps = pp_events as f64 / pp_best_wall;
-    println!(
-        "  pingpong: {pp_events} events in {pp_best_wall:.3}s -> {pp_eps:.0} events/sec \
-         ({:.2}x pre-PR baseline)",
-        pp_eps / PRE_PR_PINGPONG_EPS
-    );
-
-    // 2. Spawn churn: thousands of short-lived processes.
-    let churn_procs: u32 = if smoke { 1_000 } else { 10_000 };
-    let (churn_events, churn_wall, _) = spawn_churn_once(churn_procs);
-    let churn_pps = churn_procs as f64 / churn_wall;
-    let churn_eps = churn_events as f64 / churn_wall;
-    println!(
-        "  spawn_churn: {churn_procs} processes, {churn_events} events in {churn_wall:.3}s \
-         -> {churn_pps:.0} procs/sec, {churn_eps:.0} events/sec"
-    );
-
-    // 3. fig8 scenario, serial (stable macro numbers).
-    let fig8_trials = if smoke { 1 } else { 5 };
-    let fig8_load = fig8_load_arg.unwrap_or(16);
-    let t0 = Instant::now();
-    let fig8_cells = runner::run_indexed_with(1, fig8_trials, |t| {
-        figures::fig8_trial_full(fig8_load, 3000 + t as u64)
-    });
-    let fig8 = Macro {
-        events: fig8_cells.iter().map(|(_, _, s)| s.events).sum(),
-        virtual_secs: fig8_cells.iter().map(|(_, _, s)| s.end_time.as_secs_f64()).sum(),
-        wall_secs: t0.elapsed().as_secs_f64(),
-    };
-    println!(
-        "  fig8 (load {fig8_load}, {fig8_trials} trials): {:.0} events/sec, \
-         {:.6} wall s per sim s",
-        fig8.events_per_sec(),
-        fig8.wall_per_sim_second()
-    );
-
-    // 4. Scaled SWF replay.
-    let swf_jobs = swf_jobs_arg.unwrap_or(if smoke { 10 } else { 120 });
-    let cfg = ReplayConfig { jobs: swf_jobs, seed: 4242, ..ReplayConfig::default() };
-    let t0 = Instant::now();
-    let outcome = replay(&cfg);
-    let swf = Macro {
-        events: outcome.stats.events,
-        virtual_secs: outcome.stats.end_time.as_secs_f64(),
-        wall_secs: t0.elapsed().as_secs_f64(),
-    };
-    println!(
-        "  swf_replay ({swf_jobs} jobs): {:.0} events/sec, {:.6} wall s per sim s",
-        swf.events_per_sec(),
-        swf.wall_per_sim_second()
-    );
-
-    // 5. Serial vs parallel sweep of identical swf_replay cells (the
-    // heaviest per-cell scenario, so the speedup is not noise-bound).
-    let sweep_cells = if smoke { 2 } else { 8 };
-    let cell = |i: usize| {
-        replay(&ReplayConfig { jobs: swf_jobs, seed: 4242 + i as u64, ..ReplayConfig::default() })
-    };
-    let t0 = Instant::now();
-    let serial = runner::run_indexed_with(1, sweep_cells, cell);
-    let serial_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let parallel = runner::run_indexed_with(threads, sweep_cells, cell);
-    let parallel_secs = t0.elapsed().as_secs_f64();
-    // Reports compared byte-for-byte (f64 Debug is round-trip exact);
-    // SimStats by its deterministic-field equality (wall time excluded).
-    let identical = serial.len() == parallel.len()
-        && serial.iter().zip(&parallel).all(|(a, b)| {
-            format!("{:?}", a.report) == format!("{:?}", b.report)
-                && a.stats == b.stats
-                && (a.jobs, a.acc_jobs, a.pool) == (b.jobs, b.acc_jobs, b.pool)
-        });
-    let speedup = serial_secs / parallel_secs;
-    println!(
-        "  sweep ({sweep_cells} cells, {threads} threads): serial {serial_secs:.2}s, \
-         parallel {parallel_secs:.2}s -> {speedup:.2}x, identical={identical}"
-    );
-    assert!(identical, "parallel sweep must reproduce the serial results exactly");
-
-    // 6. Soak matrix: chaos + scale with invariant auditing and SLO
-    // quantiles (see darms_experiments::soak and the darms_soak bin).
-    let soak_seeds = if smoke { 1 } else { 3 };
-    let soak_cells = soak::matrix(0..soak_seeds);
-    let t0 = Instant::now();
-    let soak_outcomes =
-        runner::run_indexed(soak_cells.len(), |i| soak::run_cell_checked(&soak_cells[i]));
-    let soak_wall = t0.elapsed().as_secs_f64();
-    let soak_violations: usize = soak_outcomes.iter().map(|o| o.violations.len()).sum();
-    // Each cell runs twice (byte-identity), so both runs' events count.
-    let soak_events: u64 = soak_outcomes.iter().map(|o| o.events * 2).sum();
-    let soak_eps = soak_events as f64 / soak_wall;
-    let (mut q_free, mut q_faulty, mut g_free, mut g_faulty) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for o in &soak_outcomes {
-        let (q, g) = if o.cell.faults.faulty() {
-            (&mut q_faulty, &mut g_faulty)
-        } else {
-            (&mut q_free, &mut g_free)
-        };
-        q.extend_from_slice(&o.qsub_to_run);
-        g.extend_from_slice(&o.dynget_to_grant);
-    }
-    let slo_json = |samples: &[f64]| match SloSummary::of(samples) {
-        Some(s) => format!(
-            "{{\"count\": {}, \"p50\": {:.6}, \"p99\": {:.6}, \"p999\": {:.6}}}",
-            s.count, s.p50, s.p99, s.p999
-        ),
-        None => "null".to_string(),
-    };
-    println!(
-        "  soak ({} cells, {soak_violations} violations): {soak_events} events in \
-         {soak_wall:.2}s -> {soak_eps:.0} events/sec",
-        soak_cells.len()
-    );
-    for o in soak_outcomes.iter().filter(|o| !o.clean()) {
-        println!("    cell {}: {:?}", o.cell.id(), o.violations);
-    }
-
-    // 7. Fabric dispatch latency: the identical kernel probe against
-    // every device class of the heterogeneous fabric, folded to
-    // p50/p99 round-trip latency in *virtual* seconds — deterministic
-    // for the fixed seed, so the row doubles as a cost-model pin:
-    // `--check` fails if either class's p99 drifts more than 20% from
-    // the committed baseline (same tolerance both directions; a
-    // deliberate cost-model change updates the baseline).
-    let fabric_kernels = if smoke { 64 } else { 256 };
-    let fabric_rows = darms_experiments::fabric_sweep(fabric_kernels, 77);
-    for r in &fabric_rows {
-        println!(
-            "  fabric ({}, {} kernels): dispatch p50 {:.6}s, p99 {:.6}s",
-            r.class, r.kernels, r.p50, r.p99
-        );
-    }
-
-    // 8. Datacenter scale: the whole stack — kernel hot path, server
+    // 1. Datacenter scale: the whole stack — kernel hot path, server
     // indexes, scheduler free-pools, incremental snapshots — under a
-    // diurnal front door at 1k hosts and (full mode) 10k hosts. Scales
-    // run ascending because `VmHWM` is a process-lifetime high-water
-    // mark: the value sampled after the 1k run cannot have been
-    // inflated by the 10k run. The 1k row is what `--check` gates.
+    // diurnal front door at 1k hosts and (full mode) 10k hosts. The two
+    // cells run first, 1k then 10k, because `VmHWM` is a process-lifetime
+    // high-water mark: sampled after any other row it would report that
+    // row's peak, and ascending order keeps the 10k run out of the 1k
+    // sample. The 1k row is what `--check` gates.
     let dc_run = |hosts: usize, runs: usize| {
         let cfg = DatacenterConfig::at_scale(hosts, 42);
         let mut best_wall = f64::MAX;
@@ -460,6 +319,151 @@ fn main() {
         );
         Some((o, wall, rss10, eps, per_event_ratio))
     };
+
+    // 2. Ping-pong: best of several runs (first doubles as warm-up).
+    // Full size in both modes, so its exact counts are comparable.
+    let round_trips: u32 = 200_000;
+    let runs = if smoke { 2 } else { 4 };
+    let (mut pp_events, mut pp_switches) = (0u64, 0u64);
+    let mut pp_best_wall = f64::MAX;
+    for _ in 0..runs {
+        let (ev, switches, wall) = pingpong_once(round_trips);
+        (pp_events, pp_switches) = (ev, switches);
+        pp_best_wall = pp_best_wall.min(wall);
+    }
+    let pp_eps = pp_events as f64 / pp_best_wall;
+    println!(
+        "  pingpong: {pp_events} events in {pp_best_wall:.3}s -> {pp_eps:.0} events/sec \
+         ({:.2}x pre-PR baseline)",
+        pp_eps / PRE_PR_PINGPONG_EPS
+    );
+
+    // 3. Spawn churn: thousands of short-lived processes.
+    let churn_procs: u32 = if smoke { 1_000 } else { 10_000 };
+    let (churn_events, churn_wall, _) = spawn_churn_once(churn_procs);
+    let churn_pps = churn_procs as f64 / churn_wall;
+    let churn_eps = churn_events as f64 / churn_wall;
+    println!(
+        "  spawn_churn: {churn_procs} processes, {churn_events} events in {churn_wall:.3}s \
+         -> {churn_pps:.0} procs/sec, {churn_eps:.0} events/sec"
+    );
+
+    // 4. fig8 scenario, serial (stable macro numbers).
+    let fig8_trials = if smoke { 1 } else { 5 };
+    let fig8_load = fig8_load_arg.unwrap_or(16);
+    let t0 = Instant::now();
+    let fig8_cells = runner::run_indexed_with(1, fig8_trials, |t| {
+        figures::fig8_trial_full(fig8_load, 3000 + t as u64)
+    });
+    let fig8 = Macro {
+        events: fig8_cells.iter().map(|(_, _, s)| s.events).sum(),
+        virtual_secs: fig8_cells.iter().map(|(_, _, s)| s.end_time.as_secs_f64()).sum(),
+        wall_secs: t0.elapsed().as_secs_f64(),
+    };
+    println!(
+        "  fig8 (load {fig8_load}, {fig8_trials} trials): {:.0} events/sec, \
+         {:.6} wall s per sim s",
+        fig8.events_per_sec(),
+        fig8.wall_per_sim_second()
+    );
+
+    // 5. Scaled SWF replay.
+    let swf_jobs = swf_jobs_arg.unwrap_or(if smoke { 10 } else { 120 });
+    let cfg = ReplayConfig { jobs: swf_jobs, seed: 4242, ..ReplayConfig::default() };
+    let t0 = Instant::now();
+    let outcome = replay(&cfg);
+    let swf = Macro {
+        events: outcome.stats.events,
+        virtual_secs: outcome.stats.end_time.as_secs_f64(),
+        wall_secs: t0.elapsed().as_secs_f64(),
+    };
+    println!(
+        "  swf_replay ({swf_jobs} jobs): {:.0} events/sec, {:.6} wall s per sim s",
+        swf.events_per_sec(),
+        swf.wall_per_sim_second()
+    );
+
+    // 6. Serial vs parallel sweep of identical swf_replay cells (the
+    // heaviest per-cell scenario, so the speedup is not noise-bound).
+    let sweep_cells = if smoke { 2 } else { 8 };
+    let cell = |i: usize| {
+        replay(&ReplayConfig { jobs: swf_jobs, seed: 4242 + i as u64, ..ReplayConfig::default() })
+    };
+    let t0 = Instant::now();
+    let serial = runner::run_indexed_with(1, sweep_cells, cell);
+    let serial_secs = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let parallel = runner::run_indexed_with(threads, sweep_cells, cell);
+    let parallel_secs = t0.elapsed().as_secs_f64();
+    // Reports compared byte-for-byte (f64 Debug is round-trip exact);
+    // SimStats by its deterministic-field equality (wall time excluded).
+    let identical = serial.len() == parallel.len()
+        && serial.iter().zip(&parallel).all(|(a, b)| {
+            format!("{:?}", a.report) == format!("{:?}", b.report)
+                && a.stats == b.stats
+                && (a.jobs, a.acc_jobs, a.pool) == (b.jobs, b.acc_jobs, b.pool)
+        });
+    let speedup = serial_secs / parallel_secs;
+    println!(
+        "  sweep ({sweep_cells} cells, {threads} threads): serial {serial_secs:.2}s, \
+         parallel {parallel_secs:.2}s -> {speedup:.2}x, identical={identical}"
+    );
+    assert!(identical, "parallel sweep must reproduce the serial results exactly");
+
+    // 7. Soak matrix: chaos + scale with invariant auditing and SLO
+    // quantiles (see darms_experiments::soak and the darms_soak bin).
+    let soak_seeds = if smoke { 1 } else { 3 };
+    let soak_cells = soak::matrix(0..soak_seeds);
+    let t0 = Instant::now();
+    let soak_outcomes =
+        runner::run_indexed(soak_cells.len(), |i| soak::run_cell_checked(&soak_cells[i]));
+    let soak_wall = t0.elapsed().as_secs_f64();
+    let soak_violations: usize = soak_outcomes.iter().map(|o| o.violations.len()).sum();
+    // Each cell runs twice (byte-identity), so both runs' events count.
+    let soak_events: u64 = soak_outcomes.iter().map(|o| o.events * 2).sum();
+    let soak_eps = soak_events as f64 / soak_wall;
+    let (mut q_free, mut q_faulty, mut g_free, mut g_faulty) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for o in &soak_outcomes {
+        let (q, g) = if o.cell.faults.faulty() {
+            (&mut q_faulty, &mut g_faulty)
+        } else {
+            (&mut q_free, &mut g_free)
+        };
+        q.extend_from_slice(&o.qsub_to_run);
+        g.extend_from_slice(&o.dynget_to_grant);
+    }
+    let slo_json = |samples: &[f64]| match SloSummary::of(samples) {
+        Some(s) => format!(
+            "{{\"count\": {}, \"p50\": {:.6}, \"p99\": {:.6}, \"p999\": {:.6}}}",
+            s.count, s.p50, s.p99, s.p999
+        ),
+        None => "null".to_string(),
+    };
+    println!(
+        "  soak ({} cells, {soak_violations} violations): {soak_events} events in \
+         {soak_wall:.2}s -> {soak_eps:.0} events/sec",
+        soak_cells.len()
+    );
+    for o in soak_outcomes.iter().filter(|o| !o.clean()) {
+        println!("    cell {}: {:?}", o.cell.id(), o.violations);
+    }
+
+    // 8. Fabric dispatch latency: the identical kernel probe against
+    // every device class of the heterogeneous fabric, folded to
+    // p50/p99 round-trip latency in *virtual* seconds — deterministic
+    // for the fixed seed, so the row doubles as a cost-model pin:
+    // `--check` fails if either class's p99 drifts more than 20% from
+    // the committed baseline (same tolerance both directions; a
+    // deliberate cost-model change updates the baseline).
+    let fabric_kernels = if smoke { 64 } else { 256 };
+    let fabric_rows = darms_experiments::fabric_sweep(fabric_kernels, 77);
+    for r in &fabric_rows {
+        println!(
+            "  fabric ({}, {} kernels): dispatch p50 {:.6}s, p99 {:.6}s",
+            r.class, r.kernels, r.p50, r.p99
+        );
+    }
 
     // 9. Job volume at 1k hosts: identical in smoke and full mode. The
     // event, message and context-switch counts are exact; ns/event is

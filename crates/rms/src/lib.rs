@@ -39,7 +39,21 @@ pub use nodes::{NodeDb, NodeRecord, NodeRole};
 pub use proto::DeviceClass;
 pub use server::PbsServer;
 
+use std::collections::BTreeMap;
+
 use darms_net::{ports, Address, HostId};
+
+/// `map.remove(key)`, freeing the map's last B-tree leaf once it empties.
+/// A `BTreeMap` keeps its root leaf allocated after its last entry goes,
+/// so a per-host map would hold one for the rest of the run on every
+/// host that was ever busy (DESIGN.md §14, "Memory per host").
+pub(crate) fn remove_compact<K: Ord, V>(map: &mut BTreeMap<K, V>, key: &K) -> Option<V> {
+    let v = map.remove(key);
+    if map.is_empty() {
+        *map = BTreeMap::new();
+    }
+    v
+}
 
 /// The server's well-known address on the head node.
 pub fn server_addr(head: HostId) -> Address {

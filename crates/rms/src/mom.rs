@@ -17,7 +17,7 @@ use crate::fs::{files, PseudoFs};
 use crate::ifl;
 use crate::job::{ClientId, DynSet, JobId, JobSpec};
 use crate::proto::*;
-use crate::{mom_addr, server_addr};
+use crate::{mom_addr, remove_compact, server_addr};
 
 /// Request passed to the accelerator-daemon starter hook.
 pub struct StaticDaemonRequest {
@@ -150,7 +150,8 @@ struct Exchange {
 type ExchangeKey = (SisterOp, Option<ClientId>);
 
 struct MomJob {
-    launch: JobLaunch,
+    /// Shared with the server's `SendJob` and every sister's copy.
+    launch: Arc<JobLaunch>,
     is_ms: bool,
     /// True once `JobStarted` has been sent (duplicate `SendJob`s are
     /// answered by re-sending it).
@@ -174,8 +175,8 @@ struct MomJob {
 }
 
 impl MomJob {
-    fn new(launch: JobLaunch, is_ms: bool) -> Self {
-        MomJob {
+    fn new(launch: Arc<JobLaunch>, is_ms: bool) -> Box<Self> {
+        Box::new(MomJob {
             launch,
             is_ms,
             announced: false,
@@ -186,7 +187,7 @@ impl MomJob {
             walltime_timer: None,
             completed_dynjoins: BTreeSet::new(),
             completed_frees: BTreeMap::new(),
-        }
+        })
     }
 }
 
@@ -216,8 +217,14 @@ pub struct PbsMom {
     head: HostId,
     cost: RmsCostModel,
     starter: Option<Arc<dyn AcDaemonStarter>>,
-    jobs: BTreeMap<JobId, MomJob>,
-    deferred: BTreeMap<u64, Deferred>,
+    /// Both maps box their values and drop their last leaf when they
+    /// empty ([`remove_compact`]). A B-tree leaf holds 11 values inline
+    /// and outlives its last entry, so with `MomJob` (328 B) and
+    /// `Deferred` (192 B) inline every mom that ever ran or joined a job
+    /// kept about 6 KB of leaves for the rest of the run (DESIGN.md §14,
+    /// "Memory per host").
+    jobs: BTreeMap<JobId, Box<MomJob>>,
+    deferred: BTreeMap<u64, Box<Deferred>>,
     next_timer: u64,
     name: String,
     /// Highest incarnation per job this mom has finished (or cleaned up);
@@ -263,7 +270,7 @@ impl PbsMom {
     fn defer(&mut self, ctx: &mut Ctx<'_>, after: SimDuration, d: Deferred) -> u64 {
         let token = self.next_timer;
         self.next_timer += 1;
-        self.deferred.insert(token, d);
+        self.deferred.insert(token, Box::new(d));
         ctx.set_timer(after, token);
         token
     }
@@ -576,7 +583,7 @@ impl PbsMom {
         if op == SisterOp::Disjoin {
             ctx.trace(format_args!("{job}: disjoined"));
             // Kill any remaining local tasks of this job, then detach.
-            self.jobs.remove(&job);
+            remove_compact(&mut self.jobs, &job);
         } else if let Some(launch) = launch {
             self.jobs.entry(job).or_insert_with(|| MomJob::new(launch, false));
         }
@@ -646,7 +653,7 @@ impl PbsMom {
         if rec.tasks_done.len() == rec.launch.compute.len() {
             if let Some(token) = rec.walltime_timer.take() {
                 ctx.cancel_timer(token);
-                self.deferred.remove(&token);
+                remove_compact(&mut self.deferred, &token);
             }
             let rec = self.jobs.get_mut(&msg.job).expect("present");
             ctx.trace(format_args!("{}: all tasks done", msg.job));
@@ -660,7 +667,7 @@ impl PbsMom {
             }
             let exit = JobExit { job: msg.job, from: self.host, incarnation, timed_out: false };
             self.send_exit(ctx, exit);
-            self.jobs.remove(&msg.job);
+            remove_compact(&mut self.jobs, &msg.job);
         }
     }
 
@@ -718,12 +725,12 @@ impl PbsMom {
         if self.jobs.get(&msg.job).is_some_and(|r| r.launch.incarnation > msg.incarnation) {
             return; // stale cleanup for a dead predecessor incarnation
         }
-        if let Some(rec) = self.jobs.remove(&msg.job) {
+        if let Some(rec) = remove_compact(&mut self.jobs, &msg.job) {
             let done = self.done_jobs.entry(msg.job).or_insert(0);
             *done = (*done).max(rec.launch.incarnation);
             if let Some(token) = rec.walltime_timer {
                 ctx.cancel_timer(token);
-                self.deferred.remove(&token);
+                remove_compact(&mut self.deferred, &token);
             }
             // "Kill" local tasks: cancellation is cooperative — each task
             // process receives a TaskKill and winds down at its next
@@ -823,7 +830,7 @@ impl Actor for PbsMom {
         if token == TOKEN_RETRY {
             return self.retransmit_tick(ctx);
         }
-        match self.deferred.remove(&token) {
+        match remove_compact(&mut self.deferred, &token).map(|d| *d) {
             Some(Deferred::Issue { op, job, host }) => {
                 self.issue(ctx, op, job, host);
             }
@@ -928,22 +935,24 @@ mod tests {
         }
 
         /// Launch job 1 on the mother superior with `accs` as its static
-        /// accelerators; its one task runs for 30 s.
-        fn send_job(&self, p: &Proc, accs: Vec<HostId>) {
+        /// accelerators; its one task runs for 30 s. Returns the launch
+        /// description the moms share.
+        fn send_job(&self, p: &Proc, accs: Vec<HostId>) -> Arc<JobLaunch> {
             let scripts = self.seen.scripts.clone();
             let body = script(move |jc| {
                 scripts.fetch_add(1, Ordering::Relaxed);
                 async move { jc.proc.sleep(secs(30)).await }
             });
             let spec = JobSpec::synthetic("x", secs(30)).script(body);
-            let launch = JobLaunch {
+            let launch = Arc::new(JobLaunch {
                 job: JOB,
                 incarnation: 1,
                 spec,
                 compute: vec![self.ms],
                 accs: vec![accs],
-            };
-            self.send(p, SendJob { launch });
+            });
+            self.send(p, SendJob { launch: launch.clone() });
+            launch
         }
 
         /// The server-bound messages delivered so far, one line each.
@@ -1001,6 +1010,29 @@ mod tests {
         assert_eq!(*log.lock(), vec!["JobStarted 1"]);
         assert_eq!(seen.prologues.load(Ordering::Relaxed), 1);
         assert_eq!(seen.scripts.load(Ordering::Relaxed), 1);
+    }
+
+    /// The mother superior and its sisters hold one launch description
+    /// between them, and drop it when the job ends.
+    #[test]
+    fn sisters_share_the_mother_superiors_launch() {
+        let (mut engine, d) = rig(2);
+        let counts = Arc::new(Mutex::new(Vec::new()));
+        let out = counts.clone();
+        engine.spawn_process("server", move |p: Proc| async move {
+            d.net.bind(server_addr(d.head), p.endpoint());
+            let launch = d.send_job(&p, d.accs.clone());
+            p.sleep(secs(1)).await;
+            out.lock().push(Arc::strong_count(&launch));
+            // The job's one task ends at about 30 s.
+            p.sleep(secs(40)).await;
+            out.lock().push(Arc::strong_count(&launch));
+        });
+        engine.run_until(SimTime::ZERO + secs(45));
+        assert_eq!(engine.stats().process_panics, 0);
+        // The test's handle, the mother superior's and two sisters'; then
+        // the test's alone.
+        assert_eq!(*counts.lock(), vec![4, 1]);
     }
 
     /// JOIN_JOB, DYNJOIN_JOB and DISJOIN_JOB on a hardened cluster where
@@ -1083,6 +1115,26 @@ mod tests {
         let short_circuits =
             engine.take_events().iter().filter(|ev| ev.name.contains("short-circuited")).count();
         assert_eq!(short_circuits, 1);
+    }
+
+    fn value_size<K, V>(_: &BTreeMap<K, V>) -> usize {
+        std::mem::size_of::<V>()
+    }
+
+    /// A `BTreeMap` leaf holds 11 values inline and stays allocated when
+    /// its last entry is removed. With `MomJob` (328 B) inline, one job
+    /// left a 3,712-B `jobs` leaf on every mom it touched, and `Deferred`
+    /// (192 B) a 2.2-KB `deferred` leaf, for the rest of the run. Boxed,
+    /// a busy mom's leaves stay near 200 B each whatever fields these
+    /// types gain, and `remove_compact` frees them when the mom idles.
+    #[test]
+    fn per_host_maps_hold_pointer_sized_values() {
+        let net = Network::new(LatencyModel::ideal(), 1);
+        let cn = net.add_host("cn", HostKind::Compute);
+        let cost = RmsCostModel::paper_testbed();
+        let mom = PbsMom::new(net, PseudoFs::new(), cn, cn, cost, None);
+        assert_eq!(value_size(&mom.jobs), std::mem::size_of::<usize>());
+        assert_eq!(value_size(&mom.deferred), std::mem::size_of::<usize>());
     }
 
     /// The mother superior's replay caches live and die with the job: a

@@ -28,6 +28,7 @@ use darms_net::HostId;
 
 use crate::job::JobId;
 use crate::proto::DeviceClass;
+use crate::remove_compact;
 
 /// Role of a node in the database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -360,7 +361,7 @@ impl NodeDb {
             panic!("releasing unknown host");
         };
         let n = &mut self.nodes[idx];
-        let Some(held) = n.jobs.remove(&job) else { return false };
+        let Some(held) = remove_compact(&mut n.jobs, &job) else { return false };
         let old_free = n.cores_free;
         match n.role {
             NodeRole::Compute => {
@@ -373,7 +374,7 @@ impl NodeDb {
             NodeRole::Accelerator => {
                 n.cores_free += held;
                 debug_assert!(n.cores_free <= n.cores_total, "release overflow on {host:?}");
-                if let Some(ids) = n.job_slices.remove(&job) {
+                if let Some(ids) = remove_compact(&mut n.job_slices, &job) {
                     n.free_slices.extend(ids);
                 }
                 if n.is_free() {

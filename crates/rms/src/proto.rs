@@ -3,6 +3,7 @@
 //! (`pbs_dynget`/`pbs_dynfree`, `DYNJOIN_JOB`, `DISJOIN_JOB`).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use darms_net::{Address, HostId};
 use darms_sim::{SimDuration, SimTime};
@@ -286,8 +287,9 @@ pub struct NodeSnap {
 pub struct QueuedJobSnap {
     /// Job id.
     pub job: JobId,
-    /// Owner (fairshare key).
-    pub owner: String,
+    /// Owner (fairshare key): the server keeps one handle per owner
+    /// name, so a snapshot clones a handle instead of a `String`.
+    pub owner: Arc<str>,
     /// Submission time (queue-time priority).
     pub submitted: SimTime,
     /// Compute nodes requested.
@@ -305,8 +307,8 @@ pub struct QueuedJobSnap {
 pub struct RunningJobSnap {
     /// Job id.
     pub job: JobId,
-    /// Owner.
-    pub owner: String,
+    /// Owner (the same handle as [`QueuedJobSnap::owner`]).
+    pub owner: Arc<str>,
     /// Start time.
     pub started: SimTime,
     /// Walltime estimate.
@@ -428,7 +430,9 @@ pub struct RejectDynCmd {
 // Server <-> mom
 // ---------------------------------------------------------------------
 
-/// Everything a mom needs to run (its part of) a job.
+/// Everything a mom needs to run (its part of) a job. One per started
+/// incarnation: the mother superior and every sister share it through
+/// an `Arc`.
 #[derive(Clone)]
 pub struct JobLaunch {
     /// Job id.
@@ -449,7 +453,7 @@ pub struct JobLaunch {
 #[derive(Clone)]
 pub struct SendJob {
     /// Launch information.
-    pub launch: JobLaunch,
+    pub launch: Arc<JobLaunch>,
 }
 
 /// The three exchanges between the mother superior and its sister moms.
@@ -473,8 +477,9 @@ pub struct SisterReq {
     /// The exchange.
     pub op: SisterOp,
     /// Launch information for `Join` and `DynJoin` (sisters keep the full
-    /// picture, as in TORQUE); `None` for `Disjoin`.
-    pub launch: Option<JobLaunch>,
+    /// picture, as in TORQUE, through the mother superior's handle);
+    /// `None` for `Disjoin`.
+    pub launch: Option<Arc<JobLaunch>>,
     /// Where to acknowledge.
     pub reply: Address,
 }

@@ -70,7 +70,7 @@ impl Fairshare {
                     cursor += 1;
                 }
                 let slot = match last.get(cursor) {
-                    Some(&(id, slot)) if id == job.job && self.names[slot] == job.owner => {
+                    Some(&(id, slot)) if id == job.job && self.names[slot] == *job.owner => {
                         cursor += 1;
                         slot
                     }
@@ -190,7 +190,7 @@ mod tests {
                 }
                 for job in running {
                     let cores = (job.compute_hosts.len() as f64) * job.ppn as f64;
-                    *self.0.entry(job.owner.clone()).or_insert(0.0) += cores * dt;
+                    *self.0.entry(job.owner.to_string()).or_insert(0.0) += cores * dt;
                 }
                 self.1 = now;
             }
