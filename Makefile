@@ -4,7 +4,7 @@
 # `make bench` runs the perf-regression macro suite and refreshes
 # BENCH_sim.json; `make bench-smoke` is the tiny-workload variant (one
 # trial per scenario); `make bench-check` runs the smoke suite and
-# fails if an exact count (ping-pong, datacenter@1k-hosts and volume
+# fails if an exact count (ping-pong, datacenter@1k/10k-hosts and volume
 # events, messages, context switches) differs from the committed
 # BENCH_sim.json. `make chaos-smoke` runs the seeded
 # fault-injection sweep over the default 50 seeds (each run twice to

@@ -2,6 +2,7 @@
 //! (server, scheduler, moms), the MPI runtime and the DAC stack, and
 //! offers front-end entry points for submitting work.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use darms_dac::{DacRuntime, DacStarter, DeviceProps, FabricHostSpec, KernelRegistry};
@@ -68,18 +69,25 @@ impl Cluster {
             net.attach_tracer(tracer.clone());
         }
 
+        let hosts = config.compute_nodes + config.accelerators + config.fabric.dpu_ranks;
+        net.reserve_hosts(1 + hosts);
         let head = net.add_host("head", HostKind::Head);
-        let compute: Vec<HostId> = (0..config.compute_nodes)
-            .map(|i| net.add_host(format!("cn{i:02}"), HostKind::Compute))
-            .collect();
-        let accs: Vec<HostId> = (0..config.accelerators)
-            .map(|i| net.add_host(format!("ac{i:02}"), HostKind::Accelerator))
-            .collect();
+        // Numbered names, formatted into one reused buffer.
+        let mut name = String::new();
+        let mut add_hosts = |prefix: &str, n: usize, kind: HostKind| -> Vec<HostId> {
+            (0..n)
+                .map(|i| {
+                    name.clear();
+                    let _ = write!(name, "{prefix}{i:02}");
+                    net.add_host(name.as_str(), kind)
+                })
+                .collect()
+        };
+        let compute = add_hosts("cn", config.compute_nodes, HostKind::Compute);
+        let accs = add_hosts("ac", config.accelerators, HostKind::Accelerator);
         // DPU ranks come after the GPU pool so host-id numbering of
         // pre-fabric clusters (dpu_ranks = 0) is unchanged.
-        let dpus: Vec<HostId> = (0..config.fabric.dpu_ranks)
-            .map(|i| net.add_host(format!("du{i:02}"), HostKind::Accelerator))
-            .collect();
+        let dpus = add_hosts("du", config.fabric.dpu_ranks, HostKind::Accelerator);
 
         let mpi = MpiRuntime::new(net.clone(), config.mpi_cost.clone());
         let dac = DacRuntime::new(
@@ -109,7 +117,7 @@ impl Cluster {
             dac.register_fabric_host(h, spec);
         }
 
-        let mut db = NodeDb::new();
+        let mut db = NodeDb::with_capacity(1 + hosts);
         for &h in &compute {
             db.add_compute(h, config.cores_per_node);
         }
@@ -142,13 +150,15 @@ impl Cluster {
         }
 
         let starter = Arc::new(DacStarter::new(dac.clone()));
+        let mom_cost = Arc::new(config.rms_cost.clone());
+        sim.reserve_actors(hosts);
         for &h in compute.iter().chain(accs.iter()).chain(dpus.iter()) {
             let mom = PbsMom::new(
                 net.clone(),
                 fs.clone(),
                 h,
                 head,
-                config.rms_cost.clone(),
+                mom_cost.clone(),
                 Some(starter.clone()),
             );
             let mom_id = sim.add_actor(Box::new(mom));

@@ -7,11 +7,13 @@
 //! ```
 //!
 //! The suite:
-//! 1. **datacenter** — the diurnal front-door scenario at 1k hosts
-//!    (and 10k in full mode): events/sec and peak RSS (`VmHWM`) per
-//!    scale, plus the 10k-vs-1k per-event wall ratio that proves no
-//!    O(hosts) work is left on a per-event path. It runs first, so the
-//!    peak RSS it samples is its own and not another row's.
+//! 1. **datacenter** — the diurnal front-door scenario at 1k and 10k
+//!    hosts: events, messages and context switches, events/sec, peak
+//!    RSS (`VmHWM`) and the median `Cluster::build` time per scale, plus
+//!    (full mode) the 10k-vs-1k per-event wall ratio that proves no
+//!    O(hosts) work is left on a per-event path, as the median and range
+//!    of alternating 1k/10k run pairs. It runs first, so the peak RSS it
+//!    samples is its own and not another row's.
 //! 2. **ping-pong** — two processes bouncing a message 200k times: the
 //!    pure kernel hot path (send, deliver, future-poll hand-off). The
 //!    pre-PR baseline measured with the same probe on the same class of
@@ -41,26 +43,28 @@
 //! `--swf-jobs` / `--fig8-load` override the historical 120-job and
 //! load-16 defaults — they are defaults, not ceilings. `--smoke`
 //! shrinks every dimension (one trial, tiny workload) so the harness
-//! can run in CI alongside `make verify` (ping-pong and the datacenter
-//! 1k cell run at full scale in both modes; only the 10k cell is
-//! full-only).
+//! can run in CI alongside `make verify` (ping-pong and both datacenter
+//! cells run at full scale in both modes; only the alternating wall
+//! pairs behind the 10k/1k ratio are full-only).
 //! `--check BASELINE` compares against a committed `BENCH_sim.json`
 //! and exits non-zero on **any** soak invariant violation, on fabric
 //! dispatch p99 drift of more than 20%, or when an exact count differs
 //! at all from the baseline: ping-pong events and context switches,
-//! and the event, message and context-switch counts of the datacenter
-//! 1k cell and of every job-volume cell. The counts are deterministic,
-//! so any difference is a behaviour change; events/sec and ns/event are
-//! one wall sample each and are reported, not gated —
+//! and the event, message and context-switch counts of both datacenter
+//! cells and of every job-volume cell. The counts are deterministic,
+//! so any difference is a behaviour change; events/sec, ns/event,
+//! build times and the 10k/1k ratio are wall time and are reported, not
+//! gated —
 //! this is what `make bench-check` (part of `make verify`) runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use darms::Cluster;
 use darms_experiments::{
     datacenter, figures, hostmem, replay, runner, soak, DatacenterConfig, ReplayConfig,
 };
-use darms_sim::{Engine, SimConfig, SimDuration, SloSummary};
+use darms_sim::{percentile, Engine, SimConfig, SimDuration, SloSummary};
 
 /// Job volumes of the `volume` row (1k hosts, seed 42). 4000 jobs does
 /// not quiesce yet (the overload wedge pinned by
@@ -140,6 +144,59 @@ fn check_counts(baseline: &str, row: &str, suffix: &str, counts: &[(&str, u64)])
             );
             std::process::exit(1);
         }
+    }
+}
+
+/// Alternating 1k/10k datacenter run pairs behind the wall-time
+/// medians and the per-event ratio (full mode).
+const DC_PAIRS: usize = 5;
+
+/// `Cluster::build` samples per datacenter scale.
+const DC_BUILDS: usize = 9;
+
+/// Median and range of a few wall samples.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Spread { median: percentile(&sorted, 0.5), min: sorted[0], max: sorted[sorted.len() - 1] }
+    }
+}
+
+/// One datacenter cell's row: its counts come from `outcome`, its wall
+/// time and `Cluster::build` time are medians.
+struct DcCell<'a> {
+    key: &'static str,
+    hosts: usize,
+    outcome: &'a datacenter::DatacenterOutcome,
+    wall: f64,
+    walls: usize,
+    rss: Option<f64>,
+    build_ms: f64,
+}
+
+impl<'a> DcCell<'a> {
+    fn new(
+        key: &'static str,
+        hosts: usize,
+        outcome: &'a datacenter::DatacenterOutcome,
+        walls: &[f64],
+        rss: Option<f64>,
+        builds: &[f64],
+    ) -> Self {
+        let wall = Spread::of(walls).median;
+        let build_ms = Spread::of(builds).median;
+        DcCell { key, hosts, outcome, wall, walls: walls.len(), rss, build_ms }
+    }
+
+    fn eps(&self) -> f64 {
+        self.outcome.stats.events as f64 / self.wall
     }
 }
 
@@ -274,51 +331,76 @@ fn main() {
 
     // 1. Datacenter scale: the whole stack — kernel hot path, server
     // indexes, scheduler free-pools, incremental snapshots — under a
-    // diurnal front door at 1k hosts and (full mode) 10k hosts. The two
-    // cells run first, 1k then 10k, because `VmHWM` is a process-lifetime
-    // high-water mark: sampled after any other row it would report that
-    // row's peak, and ascending order keeps the 10k run out of the 1k
-    // sample. The 1k row is what `--check` gates.
-    let dc_run = |hosts: usize, runs: usize| {
-        let cfg = DatacenterConfig::at_scale(hosts, 42);
-        let mut best_wall = f64::MAX;
-        let mut out = None;
-        for _ in 0..runs {
-            let t0 = Instant::now();
-            let o = datacenter::run_datacenter(&cfg);
-            best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-            out = Some(o);
-        }
-        (out.expect("runs >= 1"), best_wall, hostmem::peak_rss_mib())
+    // diurnal front door at 1k and 10k hosts. The two cells run first,
+    // 1k then 10k, because `VmHWM` is a process-lifetime high-water mark:
+    // sampled after any other row it would report that row's peak, and
+    // ascending order keeps the 10k run out of the 1k sample. `--check`
+    // gates both cells' counts. Wall time is sampled only after both RSS
+    // samples: full mode runs `DC_PAIRS` alternating 1k/10k pairs and
+    // takes medians, so one slow run cannot swing the 10k/1k ratio.
+    let dc_cfg = |hosts: usize| DatacenterConfig::at_scale(hosts, 42);
+    let timed_run = |hosts: usize| {
+        let t0 = Instant::now();
+        let o = datacenter::run_datacenter(&dc_cfg(hosts));
+        (o, t0.elapsed().as_secs_f64())
     };
-    let (dc1, dc1_wall, dc1_rss) = dc_run(1_000, 2);
-    let dc1_eps = dc1.stats.events as f64 / dc1_wall;
+    let (dc1, first1) = timed_run(1_000);
+    let dc1_rss = hostmem::peak_rss_mib();
+    let (dc10, first10) = timed_run(10_000);
+    let dc10_rss = hostmem::peak_rss_mib();
+    let pairs = if smoke { 0 } else { DC_PAIRS };
+    let (mut walls1, mut walls10, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let (o1, w1) = timed_run(1_000);
+        let (o10, w10) = timed_run(10_000);
+        walls1.push(w1);
+        walls10.push(w10);
+        ratios.push((w10 / o10.stats.events as f64) / (w1 / o1.stats.events as f64));
+    }
+    if pairs == 0 {
+        (walls1, walls10) = (vec![first1], vec![first10]);
+    }
+    // `Cluster::build` alone, alternating scales; the drop is not timed.
+    let build_ms = |hosts: usize| {
+        let cfg = datacenter::cluster_config(&dc_cfg(hosts));
+        let t0 = Instant::now();
+        let cluster = Cluster::build(cfg);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        drop(cluster);
+        ms
+    };
+    let (mut builds1, mut builds10) = (Vec::new(), Vec::new());
+    for _ in 0..DC_BUILDS {
+        builds1.push(build_ms(1_000));
+        builds10.push(build_ms(10_000));
+    }
     let rss = |r: Option<f64>| r.map_or_else(|| "null".into(), |m| format!("{m:.1}"));
-    println!(
-        "  datacenter (1k hosts, {} jobs): {} events in {dc1_wall:.3}s -> {dc1_eps:.0} \
-         events/sec, peak RSS {} MiB",
-        dc1.jobs,
-        dc1.stats.events,
-        rss(dc1_rss)
-    );
-    let dc10 = if smoke {
-        None
-    } else {
-        let (o, wall, rss10) = dc_run(10_000, 1);
-        let eps = o.stats.events as f64 / wall;
-        // Per-event wall cost at 10k relative to 1k, printed and not
-        // gated: near 1x means nothing O(hosts) is left on a per-event
-        // path.
-        let per_event_ratio = dc1_eps / eps;
+    let dc_cells = [
+        DcCell::new("1k", 1_000, &dc1, &walls1, dc1_rss, &builds1),
+        DcCell::new("10k", 10_000, &dc10, &walls10, dc10_rss, &builds10),
+    ];
+    for c in &dc_cells {
         println!(
-            "  datacenter (10k hosts, {} jobs): {} events in {wall:.3}s -> {eps:.0} \
-             events/sec, peak RSS {} MiB, per-event {per_event_ratio:.2}x of 1k",
-            o.jobs,
-            o.stats.events,
-            rss(rss10)
+            "  datacenter ({} hosts, {} jobs): {} events in {:.3}s (median of {}) -> {:.0} \
+             events/sec, peak RSS {} MiB, Cluster::build {:.2} ms (median of {DC_BUILDS})",
+            c.hosts,
+            c.outcome.jobs,
+            c.outcome.stats.events,
+            c.wall,
+            c.walls,
+            c.eps(),
+            rss(c.rss),
+            c.build_ms
         );
-        Some((o, wall, rss10, eps, per_event_ratio))
-    };
+    }
+    let per_event_ratio = (!ratios.is_empty()).then(|| {
+        let r = Spread::of(&ratios);
+        println!(
+            "  per-event wall 10k/1k: {:.2}x (median of {pairs} alternating pairs, {:.2}–{:.2})",
+            r.median, r.min, r.max
+        );
+        r
+    });
 
     // 2. Ping-pong: best of several runs (first doubles as warm-up).
     // Full size in both modes, so its exact counts are comparable.
@@ -549,27 +631,31 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     let _ = writeln!(json, "  \"fabric\": {{\"kernels\": {fabric_kernels}, {fabric_cells}}},");
-    let dc1_counts = datacenter_counts(&dc1);
-    let mut dc_row = format!(
-        "  \"datacenter\": {{\"hosts_1k\": 1000, \"jobs_1k\": {}, {}\
-         \"wall_secs_1k\": {dc1_wall:.3}, \"events_per_sec_1k\": {dc1_eps:.0}, \
-         \"peak_rss_mib_1k\": {}",
-        dc1.jobs,
-        dc1_counts.map(|(what, n)| format!("\"{what}_1k\": {n}, ")).concat(),
-        rss(dc1_rss)
-    );
-    if let Some((o, wall, rss10, eps, ratio)) = &dc10 {
+    let mut dc_row = String::from("  \"datacenter\": {");
+    for c in &dc_cells {
+        let k = c.key;
         let _ = write!(
             dc_row,
-            ", \"hosts_10k\": 10000, \"jobs_10k\": {}, \"events_10k\": {}, \
-             \"wall_secs_10k\": {wall:.3}, \"events_per_sec_10k\": {eps:.0}, \
-             \"peak_rss_mib_10k\": {}, \"per_event_ratio_10k_vs_1k\": {ratio:.2}",
-            o.jobs,
-            o.stats.events,
-            rss(*rss10)
+            "\"hosts_{k}\": {}, \"jobs_{k}\": {}, {}\"wall_secs_{k}\": {:.3}, \
+             \"events_per_sec_{k}\": {:.0}, \"peak_rss_mib_{k}\": {}, \"build_ms_{k}\": {:.3}, ",
+            c.hosts,
+            c.outcome.jobs,
+            datacenter_counts(c.outcome).map(|(what, n)| format!("\"{what}_{k}\": {n}, ")).concat(),
+            c.wall,
+            c.eps(),
+            rss(c.rss),
+            c.build_ms
         );
     }
-    dc_row.push_str("},\n");
+    if let Some(r) = &per_event_ratio {
+        let _ = write!(
+            dc_row,
+            "\"per_event_ratio_10k_vs_1k\": {:.2}, \"per_event_ratio_min\": {:.2}, \
+             \"per_event_ratio_max\": {:.2}, ",
+            r.median, r.min, r.max
+        );
+    }
+    let _ = writeln!(dc_row, "\"pairs\": {pairs}}},");
     json.push_str(&dc_row);
     let volume_cells = volume
         .iter()
@@ -598,7 +684,14 @@ fn main() {
         // identical in smoke and full mode.
         let pp_counts = [("events", pp_events), ("context_switches", pp_switches)];
         check_counts(&baseline, "pingpong", "", &pp_counts);
-        check_counts(&baseline, "datacenter", "_1k", &dc1_counts);
+        for c in &dc_cells {
+            check_counts(
+                &baseline,
+                "datacenter",
+                &format!("_{}", c.key),
+                &datacenter_counts(c.outcome),
+            );
+        }
         for c in &volume {
             check_counts(&baseline, "volume", &format!("_{}", c.jobs), &c.counts);
         }
@@ -617,7 +710,7 @@ fn main() {
             }
         }
         println!(
-            "bench-check ok: pingpong, datacenter@1k and volume counts match the baseline, \
+            "bench-check ok: pingpong, datacenter@1k/10k and volume counts match the baseline, \
              soak matrix clean, fabric dispatch p99 within 20% of baseline for every class"
         );
     }

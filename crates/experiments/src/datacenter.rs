@@ -126,11 +126,27 @@ pub fn diurnal_arrivals(n: usize, day: SimDuration, rng: &mut SmallRng) -> Vec<S
     out
 }
 
+/// Cores per compute node in the datacenter scenario.
+const CORES_PER_NODE: u32 = 8;
+
+/// The cluster one datacenter run builds.
+pub fn cluster_config(cfg: &DatacenterConfig) -> ClusterConfig {
+    let mut cluster_cfg =
+        ClusterConfig::paper_testbed(cfg.seed).with_split(cfg.compute_nodes(), cfg.pool());
+    cluster_cfg.cores_per_node = CORES_PER_NODE;
+    // One poll chain, not one per wake-up: without coalescing, every
+    // event-driven scheduler wake spawns another 10s poll chain and the
+    // scheduler degenerates into a busy loop of O(hosts) snapshots.
+    cluster_cfg.sched.poll_coalesce = true;
+    cluster_cfg.sched.incremental_snapshots = true;
+    cluster_cfg.sim.horizon = SimTime::ZERO + HORIZON;
+    cluster_cfg
+}
+
 /// Run the datacenter scenario to quiescence.
 pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
     let compute_nodes = cfg.compute_nodes();
     let pool = cfg.pool();
-    let cores_per_node = 8u32;
 
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xdc_0dc0);
     let arrivals = diurnal_arrivals(cfg.jobs, cfg.day, &mut rng);
@@ -142,21 +158,13 @@ pub fn run_datacenter(cfg: &DatacenterConfig) -> DatacenterOutcome {
     let acpn_dist = Dist::Choice(vec![(7.0, 0.0), (2.0, 1.0), (1.0, 2.0)]);
     let runtime_dist = Dist::LogNormal { mu: 5.0, sigma: 0.6 };
 
-    let mut cluster_cfg = ClusterConfig::paper_testbed(cfg.seed).with_split(compute_nodes, pool);
-    cluster_cfg.cores_per_node = cores_per_node;
-    // One poll chain, not one per wake-up: without coalescing, every
-    // event-driven scheduler wake spawns another 10s poll chain and the
-    // scheduler degenerates into a busy loop of O(hosts) snapshots.
-    cluster_cfg.sched.poll_coalesce = true;
-    cluster_cfg.sched.incremental_snapshots = true;
-    cluster_cfg.sim.horizon = SimTime::ZERO + HORIZON;
-    let mut cluster = Cluster::build(cluster_cfg);
+    let mut cluster = Cluster::build(cluster_config(cfg));
     let dac = cluster.dac.clone();
 
     let mut dyn_jobs = 0usize;
     for (i, arrival) in arrivals.iter().enumerate() {
         let nodes = (nodes_dist.sample_int(&mut rng, 1) as usize).min(compute_nodes);
-        let ppn = (ppn_dist.sample_int(&mut rng, 1) as u32).min(cores_per_node);
+        let ppn = (ppn_dist.sample_int(&mut rng, 1) as u32).min(CORES_PER_NODE);
         let acpn = (acpn_dist.sample_int(&mut rng, 0) as u32).min((pool / nodes) as u32);
         let runtime_s = runtime_dist.sample(&mut rng).clamp(45.0, 900.0);
         let runtime = SimDuration::from_secs_f64(runtime_s);

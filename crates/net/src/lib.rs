@@ -35,11 +35,13 @@
 
 #![warn(missing_docs)]
 
+mod dense;
 mod fault;
 mod host;
 mod latency;
 mod network;
 
+pub use dense::{BitSet, HostSlots};
 pub use fault::{Admit, FaultPlan, LinkFaults, Outage, Partition, ReplyCache, RetryPolicy};
 pub use host::{ports, Address, Host, HostId, HostKind, Port};
 pub use latency::LatencyModel;

@@ -51,7 +51,8 @@ struct NetMetrics {
 
 struct NetState {
     hosts: Vec<Host>,
-    /// Port tables indexed by host, grown on a bind to a higher index.
+    /// Port tables indexed by host: one per added host, plus any a bind
+    /// to a never-added host index created.
     ports: Vec<PortTable>,
     latency: LatencyModel,
     rng: SmallRng,
@@ -178,11 +179,21 @@ impl Network {
     }
 
     /// Register a host; returns its id.
-    pub fn add_host(&self, name: impl Into<String>, kind: HostKind) -> HostId {
+    pub fn add_host(&self, name: impl Into<Arc<str>>, kind: HostKind) -> HostId {
         let mut s = self.state.lock();
         let id = HostId(s.hosts.len());
-        s.hosts.push(Host { name: name.into().into(), kind, down: false });
+        s.hosts.push(Host { name: name.into(), kind, down: false });
+        s.table(id);
         id
+    }
+
+    /// Make room for `additional` more hosts, so that adding them grows
+    /// neither the host list nor the port-table vector.
+    pub fn reserve_hosts(&self, additional: usize) {
+        let mut s = self.state.lock();
+        s.hosts.reserve_exact(additional);
+        let ports = (s.hosts.len() + additional).saturating_sub(s.ports.len());
+        s.ports.reserve_exact(ports);
     }
 
     /// Metadata of a host (cheap: the name is interned).

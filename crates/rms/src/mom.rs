@@ -215,7 +215,8 @@ pub struct PbsMom {
     fs: PseudoFs,
     host: HostId,
     head: HostId,
-    cost: RmsCostModel,
+    /// Shared by every mom of a cluster: it is read-only.
+    cost: Arc<RmsCostModel>,
     starter: Option<Arc<dyn AcDaemonStarter>>,
     /// Both maps box their values and drop their last leaf when they
     /// empty ([`remove_compact`]). A B-tree leaf holds 11 values inline
@@ -248,7 +249,7 @@ impl PbsMom {
         fs: PseudoFs,
         host: HostId,
         head: HostId,
-        cost: RmsCostModel,
+        cost: impl Into<Arc<RmsCostModel>>,
         starter: Option<Arc<dyn AcDaemonStarter>>,
     ) -> Self {
         PbsMom {
@@ -256,7 +257,7 @@ impl PbsMom {
             fs,
             host,
             head,
-            cost,
+            cost: cost.into(),
             starter,
             jobs: BTreeMap::new(),
             deferred: BTreeMap::new(),

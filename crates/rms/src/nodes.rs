@@ -17,14 +17,21 @@
 //! - running sums for the usage counters, so utilisation metrics are
 //!   O(1) per sample.
 //!
+//! Host-keyed state is dense: host ids are the indices `0..n` the
+//! network hands out, so the host-to-record map is a [`HostSlots`]
+//! array, and the buckets, the free-accelerator pool and the dirty set
+//! are [`BitSet`]s over registration indices. Each iterates in
+//! ascending registration order, the order the B-tree sets they
+//! replaced gave.
+//!
 //! The pre-index linear scans are retained as `*_linear` methods and
 //! cross-checked against the indexed paths by a property test over
 //! randomized allocate/release/offline sequences (`darms-rms`
 //! `tests/nodedb_props.rs`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use darms_net::HostId;
+use darms_net::{BitSet, HostId, HostSlots};
 
 use crate::job::JobId;
 use crate::proto::DeviceClass;
@@ -56,12 +63,11 @@ pub struct NodeRecord {
     pub cores_free: u32,
     /// Jobs holding cores here, with counts.
     pub jobs: BTreeMap<JobId, u32>,
-    /// Unallocated slice ids of an accelerator (ids are 1-based; id 0
-    /// means "the whole device" on the wire and is never pooled).
-    pub free_slices: BTreeSet<u32>,
-    /// Slice ids each job holds here (whole-device allocations hold all
-    /// of them).
-    pub job_slices: BTreeMap<JobId, Vec<u32>>,
+    /// The slice id each job holding one slice of this accelerator holds
+    /// (ids are 1-based; id 0 means "the whole device" on the wire). A
+    /// whole-device holder holds every slice and has no entry, so the
+    /// free slices are the ids in `1..=cores_total` that no entry names.
+    pub job_slices: BTreeMap<JobId, u32>,
     /// Administratively offline (fault injection / maintenance).
     pub offline: bool,
 }
@@ -89,12 +95,13 @@ impl NodeRecord {
 #[derive(Clone, Debug, Default)]
 pub struct NodeDb {
     nodes: Vec<NodeRecord>,
-    by_host: BTreeMap<HostId, usize>,
-    /// Online compute nodes bucketed by free-core count. Bucket members
-    /// are node indices, i.e. registration order.
-    compute_by_free: BTreeMap<u32, BTreeSet<usize>>,
+    /// Registration index of each host.
+    by_host: HostSlots,
+    /// Online compute nodes by free-core count: bucket `f` holds the
+    /// indices (registration order) of the nodes with `f` free cores.
+    compute_by_free: Vec<BitSet>,
     /// Online, fully-free accelerator nodes (indices).
-    free_accs: BTreeSet<usize>,
+    free_accs: BitSet,
     /// Hosts each live job holds resources on (insertion order).
     job_hosts: BTreeMap<JobId, Vec<HostId>>,
     /// Running totals for `compute_core_usage` (include offline nodes,
@@ -106,13 +113,26 @@ pub struct NodeDb {
     /// Nodes whose scheduler-visible state (`cores_free`/`offline`)
     /// changed since the last [`NodeDb::take_dirty`] — the changelog
     /// behind incremental cluster snapshots.
-    dirty: BTreeSet<usize>,
+    dirty: BitSet,
 }
 
 impl NodeDb {
     /// Create an empty database.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Create an empty database sized for the host ids `0..hosts`: room
+    /// for that many records, and a host table that never regrows while
+    /// they are registered.
+    pub fn with_capacity(hosts: usize) -> Self {
+        NodeDb {
+            nodes: Vec::with_capacity(hosts),
+            by_host: HostSlots::with_capacity(hosts),
+            free_accs: BitSet::with_capacity(hosts),
+            dirty: BitSet::with_capacity(hosts),
+            ..Self::default()
+        }
     }
 
     /// Register a compute node with `cores` cores.
@@ -132,16 +152,15 @@ impl NodeDb {
     }
 
     fn add(&mut self, host: HostId, role: NodeRole, cores: u32, class: DeviceClass) {
+        let idx = self.nodes.len();
         assert!(
-            !self.by_host.contains_key(&host),
+            self.by_host.insert(host, idx),
             "host {host:?} registered twice in the node database"
         );
-        let idx = self.nodes.len();
-        self.by_host.insert(host, idx);
         self.dirty.insert(idx);
         match role {
             NodeRole::Compute => {
-                self.compute_by_free.entry(cores).or_default().insert(idx);
+                self.bucket(cores).insert(idx);
                 self.compute_free_sum += cores;
                 self.compute_total_sum += cores;
             }
@@ -150,10 +169,6 @@ impl NodeDb {
                 self.acc_total += 1;
             }
         }
-        let free_slices = match role {
-            NodeRole::Compute => BTreeSet::new(),
-            NodeRole::Accelerator => (1..=cores).collect(),
-        };
         self.nodes.push(NodeRecord {
             host,
             role,
@@ -161,10 +176,18 @@ impl NodeDb {
             cores_total: cores,
             cores_free: cores,
             jobs: BTreeMap::new(),
-            free_slices,
             job_slices: BTreeMap::new(),
             offline: false,
         });
+    }
+
+    /// The free-count bucket `free`, created (empty) if needed.
+    fn bucket(&mut self, free: u32) -> &mut BitSet {
+        let f = free as usize;
+        if self.compute_by_free.len() <= f {
+            self.compute_by_free.resize_with(f + 1, BitSet::default);
+        }
+        &mut self.compute_by_free[f]
     }
 
     /// Move a compute node between free-count buckets (no-op while the
@@ -173,13 +196,8 @@ impl NodeDb {
         if self.nodes[idx].offline || old_free == new_free {
             return;
         }
-        if let Some(b) = self.compute_by_free.get_mut(&old_free) {
-            b.remove(&idx);
-            if b.is_empty() {
-                self.compute_by_free.remove(&old_free);
-            }
-        }
-        self.compute_by_free.entry(new_free).or_default().insert(idx);
+        self.bucket(old_free).remove(idx);
+        self.bucket(new_free).insert(idx);
     }
 
     /// All node records.
@@ -187,76 +205,79 @@ impl NodeDb {
         &self.nodes
     }
 
-    /// Drain the set of node indices whose scheduler-visible state
-    /// changed since the previous drain. A full snapshot also counts as
-    /// a drain: after serving one, the recipient is current, so only
-    /// changes from that point on matter.
-    pub fn take_dirty(&mut self) -> BTreeSet<usize> {
-        std::mem::take(&mut self.dirty)
+    /// Drain the node indices whose scheduler-visible state changed
+    /// since the previous drain, in ascending registration order however
+    /// they were dirtied. A full snapshot also counts as a drain: after
+    /// serving one, the recipient is current, so only changes from that
+    /// point on matter.
+    pub fn take_dirty(&mut self) -> Vec<usize> {
+        self.dirty.drain()
+    }
+
+    /// Mark `host` changed, so the next [`NodeDb::take_dirty`] yields it
+    /// (no-op for an unregistered host).
+    pub fn mark_dirty(&mut self, host: HostId) {
+        if let Some(idx) = self.by_host.get(host) {
+            self.dirty.insert(idx);
+        }
     }
 
     /// Record for one host.
     pub fn get(&self, host: HostId) -> Option<&NodeRecord> {
-        self.by_host.get(&host).map(|&i| &self.nodes[i])
+        self.by_host.get(host).map(|i| &self.nodes[i])
     }
 
     /// Registration index of a host (its position in [`NodeDb::nodes`]).
     pub fn index_of(&self, host: HostId) -> Option<usize> {
-        self.by_host.get(&host).copied()
+        self.by_host.get(host)
+    }
+
+    /// Registration index of a host the caller requires to be
+    /// registered; panics naming `what` the caller was doing otherwise.
+    fn known(&self, host: HostId, what: &str) -> usize {
+        self.by_host.get(host).unwrap_or_else(|| panic!("{what} unknown host {host:?}"))
     }
 
     /// Take or release a node administratively.
     pub fn set_offline(&mut self, host: HostId, offline: bool) {
-        let Some(&idx) = self.by_host.get(&host) else { return };
+        let Some(idx) = self.by_host.get(host) else { return };
         if self.nodes[idx].offline == offline {
             return;
         }
         self.dirty.insert(idx);
         // De-index before the flip (rebucket skips offline nodes), then
         // flip, then re-index with the node's current occupancy.
-        if offline {
-            match self.nodes[idx].role {
-                NodeRole::Compute => {
-                    let free = self.nodes[idx].cores_free;
-                    if let Some(b) = self.compute_by_free.get_mut(&free) {
-                        b.remove(&idx);
-                        if b.is_empty() {
-                            self.compute_by_free.remove(&free);
-                        }
-                    }
-                }
-                NodeRole::Accelerator => {
-                    self.free_accs.remove(&idx);
-                }
+        let n = &self.nodes[idx];
+        match (n.role, offline) {
+            (NodeRole::Compute, true) => {
+                let free = n.cores_free;
+                self.bucket(free).remove(idx);
             }
-            self.nodes[idx].offline = true;
-        } else {
-            self.nodes[idx].offline = false;
-            match self.nodes[idx].role {
-                NodeRole::Compute => {
-                    let free = self.nodes[idx].cores_free;
-                    self.compute_by_free.entry(free).or_default().insert(idx);
-                }
-                NodeRole::Accelerator => {
-                    if self.nodes[idx].is_free() {
-                        self.free_accs.insert(idx);
-                    }
+            (NodeRole::Compute, false) => {
+                let free = n.cores_free;
+                self.bucket(free).insert(idx);
+            }
+            (NodeRole::Accelerator, true) => {
+                self.free_accs.remove(idx);
+            }
+            (NodeRole::Accelerator, false) => {
+                if n.cores_free == n.cores_total {
+                    self.free_accs.insert(idx);
                 }
             }
         }
+        self.nodes[idx].offline = offline;
     }
 
     /// Compute hosts with at least `ppn` free cores, in registration order.
     pub fn free_compute(&self, ppn: u32) -> Vec<HostId> {
-        let mut idxs: Vec<usize> =
-            self.compute_by_free.range(ppn..).flat_map(|(_, b)| b.iter().copied()).collect();
-        idxs.sort_unstable();
-        idxs.into_iter().map(|i| self.nodes[i].host).collect()
+        let fitting = self.compute_by_free.get(ppn as usize..).unwrap_or(&[]);
+        BitSet::union(fitting).map(|i| self.nodes[i].host).collect()
     }
 
     /// Fully free accelerator hosts, in registration order.
     pub fn free_accelerators(&self) -> Vec<HostId> {
-        self.free_accs.iter().map(|&i| self.nodes[i].host).collect()
+        self.free_accs.iter().map(|i| self.nodes[i].host).collect()
     }
 
     /// Linear-scan reference for [`NodeDb::free_compute`] (retained for
@@ -284,7 +305,7 @@ impl NodeDb {
     /// node cannot satisfy it — the scheduler must only hand out feasible
     /// allocations (this invariant is property-tested).
     pub fn allocate_compute(&mut self, host: HostId, job: JobId, ppn: u32) {
-        let idx = *self.by_host.get(&host).expect("allocating unknown host");
+        let idx = self.known(host, "allocating");
         let n = &mut self.nodes[idx];
         assert_eq!(n.role, NodeRole::Compute, "allocate_compute on an accelerator");
         assert!(!n.offline, "allocate on offline node");
@@ -304,16 +325,14 @@ impl NodeDb {
     /// Allocate an accelerator node exclusively to a job (the job takes
     /// every slice of the device).
     pub fn allocate_accelerator(&mut self, host: HostId, job: JobId) {
-        let idx = *self.by_host.get(&host).expect("allocating unknown host");
+        let idx = self.known(host, "allocating");
         let n = &mut self.nodes[idx];
         assert_eq!(n.role, NodeRole::Accelerator, "allocate_accelerator on a compute node");
         assert!(n.is_free(), "accelerator {host:?} double-allocated");
         n.cores_free = 0;
         n.jobs.insert(job, n.cores_total);
-        let all: Vec<u32> = std::mem::take(&mut n.free_slices).into_iter().collect();
-        n.job_slices.insert(job, all);
         self.dirty.insert(idx);
-        self.free_accs.remove(&idx);
+        self.free_accs.remove(idx);
         self.job_hosts.entry(job).or_default().push(host);
     }
 
@@ -322,20 +341,22 @@ impl NodeDb {
     /// like the whole-device path — the caller must validate first (see
     /// [`NodeRecord::can_slice`]).
     pub fn allocate_accelerator_slice(&mut self, host: HostId, job: JobId) -> u32 {
-        let idx = *self.by_host.get(&host).expect("allocating unknown host");
+        let idx = self.known(host, "allocating");
         let n = &mut self.nodes[idx];
         assert_eq!(n.role, NodeRole::Accelerator, "allocate_accelerator_slice on a compute node");
         assert!(!n.offline, "slice allocation on offline node");
         assert!(!n.jobs.contains_key(&job), "job {job} already holds a slice of {host:?}");
-        let id = *n.free_slices.iter().next().unwrap_or_else(|| {
-            panic!("accelerator {host:?} has no free slice");
-        });
-        n.free_slices.remove(&id);
+        // With a slice free, no job holds the whole device, so every
+        // held slice has a `job_slices` entry.
+        assert!(n.cores_free >= 1, "accelerator {host:?} has no free slice");
+        let id = (1..=n.cores_total)
+            .find(|id| !n.job_slices.values().any(|held| held == id))
+            .expect("a free slice has an id no job holds");
         n.cores_free -= 1;
         n.jobs.insert(job, 1);
-        n.job_slices.insert(job, vec![id]);
+        n.job_slices.insert(job, id);
         self.dirty.insert(idx);
-        self.free_accs.remove(&idx);
+        self.free_accs.remove(idx);
         self.job_hosts.entry(job).or_default().push(host);
         id
     }
@@ -357,26 +378,20 @@ impl NodeDb {
     /// Release bookkeeping on one host, without touching `job_hosts`.
     /// Returns whether the job actually held anything there.
     fn release_on(&mut self, host: HostId, job: JobId) -> bool {
-        let Some(&idx) = self.by_host.get(&host) else {
-            panic!("releasing unknown host");
-        };
+        let idx = self.known(host, "releasing");
         let n = &mut self.nodes[idx];
         let Some(held) = remove_compact(&mut n.jobs, &job) else { return false };
         let old_free = n.cores_free;
+        n.cores_free += held;
+        debug_assert!(n.cores_free <= n.cores_total, "release overflow on {host:?}");
         match n.role {
             NodeRole::Compute => {
-                n.cores_free += held;
                 let new_free = n.cores_free;
-                debug_assert!(new_free <= n.cores_total, "release overflow on {host:?}");
                 self.compute_free_sum += held;
                 self.rebucket_compute(idx, old_free, new_free);
             }
             NodeRole::Accelerator => {
-                n.cores_free += held;
-                debug_assert!(n.cores_free <= n.cores_total, "release overflow on {host:?}");
-                if let Some(ids) = remove_compact(&mut n.job_slices, &job) {
-                    n.free_slices.extend(ids);
-                }
+                remove_compact(&mut n.job_slices, &job);
                 if n.is_free() {
                     self.free_accs.insert(idx);
                 }
@@ -588,8 +603,43 @@ mod tests {
         db.allocate_accelerator(h(0), JobId(1));
         assert!(!db.get(h(0)).unwrap().can_slice(DeviceClass::DpuRankLike, JobId(2)));
         db.release(h(0), JobId(1));
-        assert_eq!(db.get(h(0)).unwrap().free_slices.len(), 3);
+        assert_eq!(db.get(h(0)).unwrap().cores_free, 3);
         assert_eq!(db.free_accelerators(), vec![h(0)]);
+        // Every slice came back: they are handed out again from id 1.
+        let ids: Vec<u32> = (2..5).map(|j| db.allocate_accelerator_slice(h(0), JobId(j))).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no free slice")]
+    fn slice_of_a_whole_device_grant_panics() {
+        let mut db = NodeDb::new();
+        db.add_accelerator_device(h(0), DeviceClass::DpuRankLike, 3);
+        db.allocate_accelerator(h(0), JobId(1));
+        db.allocate_accelerator_slice(h(0), JobId(2));
+    }
+
+    #[test]
+    fn take_dirty_yields_ascending_registration_indices() {
+        // Registered in descending host-id order: index 0 is h(15).
+        let mut db = NodeDb::new();
+        for i in (0..6).rev() {
+            if i % 2 == 0 {
+                db.add_compute(h(10 + i), 4);
+            } else {
+                db.add_accelerator(h(10 + i));
+            }
+        }
+        assert_eq!(db.take_dirty(), (0..6).collect::<Vec<_>>(), "registration dirties every node");
+        assert!(db.take_dirty().is_empty(), "a drain empties the set");
+        // Dirtied in scrambled order, some twice.
+        db.set_offline(h(10), true); // index 5
+        db.allocate_accelerator(h(13), JobId(1)); // index 2
+        db.allocate_compute(h(14), JobId(1), 1); // index 1
+        db.mark_dirty(h(15)); // index 0
+        db.mark_dirty(h(99)); // never registered: ignored
+        db.release_job(JobId(1));
+        assert_eq!(db.take_dirty(), vec![0, 1, 2, 5]);
     }
 
     #[test]

@@ -522,13 +522,15 @@ impl PbsServer {
             let mut db = self.db.lock();
             // Unless this is a copy, drain in either mode: after this
             // response the client is current, so only later changes matter.
-            let mut changed = if copy { BTreeSet::new() } else { db.take_dirty() };
+            // A delta restates the refreshed hosts too; either way it
+            // lists nodes in ascending registration index.
             if delta {
                 for h in &req.refresh {
-                    if let Some(i) = db.index_of(*h) {
-                        changed.insert(i);
-                    }
+                    db.mark_dirty(*h);
                 }
+            }
+            let changed = if copy { Vec::new() } else { db.take_dirty() };
+            if delta {
                 let all = db.nodes();
                 changed.iter().map(|&i| snap_of(&all[i])).collect()
             } else {
@@ -1374,6 +1376,45 @@ mod tests {
         assert_eq!(free, vec![7]);
         let started: Vec<SimTime> = next.snapshot.running.iter().map(|r| r.started).collect();
         assert_eq!(started, vec![at(5)]);
+    }
+
+    /// A delta lists its nodes in ascending registration index, whatever
+    /// order they were dirtied or refreshed in: the scheduler pushes the
+    /// freed accelerators onto its FIFO pool in that order.
+    #[test]
+    fn a_delta_lists_nodes_in_registration_order() {
+        let net = Network::new(LatencyModel::ideal(), 1);
+        let head = net.add_host("head", HostKind::Head);
+        let hosts: Vec<HostId> =
+            (0..5).map(|i| net.add_host(format!("n{i}"), HostKind::Generic)).collect();
+        // Registered in descending host-id order, so registration index
+        // and host id disagree.
+        let mut db = NodeDb::new();
+        for &h in hosts.iter().rev().take(2) {
+            db.add_compute(h, 8);
+        }
+        for &h in hosts.iter().rev().skip(2) {
+            db.add_accelerator(h);
+        }
+        let reg: Vec<HostId> = db.nodes().iter().map(|n| n.host).collect();
+        let cost = RmsCostModel::paper_testbed();
+        let mut server = PbsServer::new(net, PseudoFs::new(), head, cost, db);
+        assert!(!server.snapshot_for(&query(1, None)).delta);
+        {
+            let mut db = server.db.lock();
+            db.allocate_accelerator(reg[3], JobId(7));
+            db.set_offline(reg[4], true);
+            db.allocate_compute(reg[1], JobId(7), 2);
+            db.release(reg[3], JobId(7));
+        }
+        let mut req = query(2, Some(1));
+        req.refresh = vec![reg[2], reg[3]];
+        let delta = server.snapshot_for(&req);
+        assert!(delta.delta);
+        let listed: Vec<HostId> = delta.snapshot.nodes.iter().map(|n| n.host).collect();
+        assert_eq!(listed, vec![reg[1], reg[2], reg[3], reg[4]]);
+        // Drained: the next delta lists nothing.
+        assert!(server.snapshot_for(&query(3, Some(2))).snapshot.nodes.is_empty());
     }
 
     /// A server on head + two compute nodes + three accelerators, with no

@@ -8,18 +8,25 @@
 //! which dominates at datacenter scale. Hosts are therefore bucketed by
 //! free-core count (`by_free`): feasibility checks sum a handful of
 //! bucket sizes, BestFit walks buckets ascending (exactly the linear
-//! version's `(free, index)` sort order), and FirstFit merges the k
-//! lowest registration indices out of the matching buckets —
-//! O(buckets + k) instead of O(hosts) per decision, since distinct
-//! free-core values are bounded by the largest node's core count, not
-//! the cluster size. The pre-index implementation is retained as
+//! version's `(free, index)` sort order), and FirstFit takes the k
+//! lowest registration indices of the union of the matching buckets —
+//! O(buckets × hosts / 64) word operations at worst instead of O(hosts)
+//! set lookups per decision, since distinct free-core values are
+//! bounded by the largest node's core count, not the cluster size.
+//!
+//! All host-keyed state is dense: each bucket is a [`BitSet`] of
+//! compute slots, host lookups go through [`HostSlots`] arrays indexed
+//! by `HostId::index()`, and the accelerators' slice records are a
+//! `Vec` in registration order. A rebuild from a 10k-host snapshot is
+//! a handful of allocations instead of thousands of B-tree nodes. The
+//! pre-index implementation is retained as
 //! [`reference::LinearFreeTracker`] and a property test
 //! (`tests/alloc_props.rs`) checks both agree on randomized
 //! take/give-back sequences.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use darms_net::HostId;
+use darms_net::{BitSet, HostId, HostSlots};
 use darms_rms::proto::{ClusterSnapshot, DeviceClass, QueuedJobSnap};
 use darms_rms::NodeRole;
 
@@ -34,15 +41,15 @@ pub enum AllocPolicy {
 }
 
 /// Per-accelerator-host slice accounting: device class, free/total slice
-/// counts and liveness, plus the registration rank that breaks placement
-/// ties deterministically.
+/// counts and liveness. Its position in `FreeTracker::acc_state` is the
+/// registration rank that breaks placement ties deterministically.
 #[derive(Clone, Copy, Debug)]
 struct AccState {
+    host: HostId,
     class: DeviceClass,
     free: u32,
     total: u32,
     offline: bool,
-    reg: usize,
 }
 
 /// Free-resource view maintained by the scheduler during one iteration,
@@ -56,61 +63,57 @@ pub struct FreeTracker {
     compute: Vec<(HostId, u32, u32)>,
     /// Offline flag per compute slot.
     offline: Vec<bool>,
-    /// Compute indices bucketed by current free-core count.
-    by_free: BTreeMap<u32, BTreeSet<usize>>,
+    /// Online compute slots by current free-core count: bucket `f`
+    /// holds the slots with `f` free cores.
+    by_free: Vec<BitSet>,
     /// Fully-free accelerator hosts, in registration (= FIFO grant) order.
     /// Whole-device grants (static `acpn`, dynamic `Accelerators`) come
     /// from here; a partially sliced device is never in this pool.
     accs: VecDeque<HostId>,
-    /// Membership mirror of `accs` for O(log n) duplicate checks.
-    acc_set: BTreeSet<HostId>,
-    /// Slice-level view of every accelerator host (including offline
-    /// ones, so delta patches can revive them in place).
-    acc_state: BTreeMap<HostId, AccState>,
-    index: BTreeMap<HostId, usize>,
+    /// Membership mirror of `accs`, by host index.
+    acc_set: BitSet,
+    /// Slice-level view of every accelerator host in registration order
+    /// (including offline ones, so delta patches can revive them in
+    /// place).
+    acc_state: Vec<AccState>,
+    /// Position of each accelerator host in `acc_state`.
+    acc_index: HostSlots,
+    /// Slot of each compute host in `compute`.
+    index: HostSlots,
 }
 
 impl FreeTracker {
     /// Build from a full snapshot.
     pub fn from_snapshot(snap: &ClusterSnapshot) -> Self {
-        let mut compute = Vec::new();
-        let mut offline = Vec::new();
-        let mut by_free: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
-        let mut accs = VecDeque::new();
-        let mut acc_set = BTreeSet::new();
-        let mut acc_state = BTreeMap::new();
-        let mut index = BTreeMap::new();
+        let ids = snap.nodes.iter().map(|n| n.host.index() + 1).max().unwrap_or(0);
+        let computes = snap.nodes.iter().filter(|n| n.role == NodeRole::Compute).count();
+        let mut t = FreeTracker {
+            compute: Vec::with_capacity(computes),
+            offline: Vec::with_capacity(computes),
+            by_free: Vec::new(),
+            accs: VecDeque::new(),
+            acc_set: BitSet::with_capacity(ids),
+            acc_state: Vec::with_capacity(snap.nodes.len() - computes),
+            acc_index: HostSlots::with_capacity(ids),
+            index: HostSlots::with_capacity(ids),
+        };
         for n in &snap.nodes {
             match n.role {
                 NodeRole::Compute => {
-                    let i = compute.len();
-                    index.insert(n.host, i);
+                    let i = t.compute.len();
+                    t.index.insert(n.host, i);
                     if !n.offline {
-                        by_free.entry(n.cores_free).or_default().insert(i);
+                        t.bucket(n.cores_free).insert(i);
                     }
-                    compute.push((n.host, n.cores_free, n.cores_total));
-                    offline.push(n.offline);
+                    t.compute.push((n.host, n.cores_free, n.cores_total));
+                    t.offline.push(n.offline);
                 }
                 NodeRole::Accelerator => {
-                    if !n.offline && n.cores_free == n.cores_total {
-                        accs.push_back(n.host);
-                        acc_set.insert(n.host);
-                    }
-                    let reg = acc_state.len();
-                    acc_state.insert(
-                        n.host,
-                        AccState {
-                            class: n.class,
-                            free: n.cores_free,
-                            total: n.cores_total,
-                            offline: n.offline,
-                            reg,
-                        },
-                    );
+                    t.apply(n);
                 }
             }
         }
-        FreeTracker { compute, offline, by_free, accs, acc_set, acc_state, index }
+        t
     }
 
     /// Patch one node's state from a delta snapshot: overwrite with the
@@ -121,7 +124,7 @@ impl FreeTracker {
     pub fn apply(&mut self, n: &darms_rms::proto::NodeSnap) -> bool {
         match n.role {
             NodeRole::Compute => {
-                let Some(&i) = self.index.get(&n.host) else { return false };
+                let Some(i) = self.index.get(n.host) else { return false };
                 let was_offline = self.offline[i];
                 let old_free = self.compute[i].1;
                 self.compute[i].1 = n.cores_free;
@@ -131,7 +134,7 @@ impl FreeTracker {
                     (false, false) => self.rebucket(i, old_free, n.cores_free),
                     (false, true) => self.unbucket(i, old_free),
                     (true, false) => {
-                        self.by_free.entry(n.cores_free).or_default().insert(i);
+                        self.bucket(n.cores_free).insert(i);
                     }
                     (true, true) => {}
                 }
@@ -140,26 +143,28 @@ impl FreeTracker {
             NodeRole::Accelerator => {
                 let free = !n.offline && n.cores_free == n.cores_total;
                 if free {
-                    if self.acc_set.insert(n.host) {
+                    if self.acc_set.insert(n.host.index()) {
                         self.accs.push_back(n.host);
                     }
-                } else if self.acc_set.remove(&n.host) {
+                } else if self.acc_set.remove(n.host.index()) {
                     // Rare: the server took (or offlined) an accelerator
                     // the scheduler did not hand out itself.
                     self.accs.retain(|h| *h != n.host);
                 }
-                let reg = self.acc_state.len();
-                let s = self.acc_state.entry(n.host).or_insert(AccState {
+                let s = AccState {
+                    host: n.host,
                     class: n.class,
                     free: n.cores_free,
                     total: n.cores_total,
                     offline: n.offline,
-                    reg,
-                });
-                s.class = n.class;
-                s.free = n.cores_free;
-                s.total = n.cores_total;
-                s.offline = n.offline;
+                };
+                match self.acc_index.get(n.host) {
+                    Some(r) => self.acc_state[r] = s,
+                    None => {
+                        self.acc_index.insert(n.host, self.acc_state.len());
+                        self.acc_state.push(s);
+                    }
+                }
                 true
             }
         }
@@ -172,16 +177,22 @@ impl FreeTracker {
 
     /// Free cores on one compute host.
     pub fn free_cores(&self, host: HostId) -> u32 {
-        self.index.get(&host).map_or(0, |&i| if self.offline[i] { 0 } else { self.compute[i].1 })
+        self.index.get(host).map_or(0, |i| if self.offline[i] { 0 } else { self.compute[i].1 })
+    }
+
+    /// The free-count bucket `free`, created (empty) if needed.
+    fn bucket(&mut self, free: u32) -> &mut BitSet {
+        let f = free as usize;
+        if self.by_free.len() <= f {
+            self.by_free.resize_with(f + 1, BitSet::default);
+        }
+        &mut self.by_free[f]
     }
 
     /// Remove one compute host from its free-count bucket.
     fn unbucket(&mut self, i: usize, free: u32) {
-        if let Some(b) = self.by_free.get_mut(&free) {
-            b.remove(&i);
-            if b.is_empty() {
-                self.by_free.remove(&free);
-            }
+        if let Some(b) = self.by_free.get_mut(free as usize) {
+            b.remove(i);
         }
     }
 
@@ -191,13 +202,18 @@ impl FreeTracker {
             return;
         }
         self.unbucket(i, old_free);
-        self.by_free.entry(new_free).or_default().insert(i);
+        self.bucket(new_free).insert(i);
+    }
+
+    /// The buckets of hosts with at least `ppn` free cores.
+    fn fitting(&self, ppn: u32) -> &[BitSet] {
+        self.by_free.get(ppn as usize..).unwrap_or(&[])
     }
 
     /// Number of compute hosts with at least `ppn` free cores: a sum of
     /// bucket sizes, O(distinct free-core values).
     fn fitting_count(&self, ppn: u32) -> usize {
-        self.by_free.range(ppn..).map(|(_, b)| b.len()).sum()
+        self.fitting(ppn).iter().map(BitSet::len).sum()
     }
 
     /// Pick `k` compute hosts with at least `ppn` free cores each.
@@ -211,24 +227,12 @@ impl FreeTracker {
         if self.fitting_count(ppn) < k {
             return None;
         }
+        let fitting = self.fitting(ppn);
         let chosen: Vec<usize> = match policy {
-            AllocPolicy::BestFit => {
-                // Buckets ascend by free count and each set ascends by
-                // index, so in-order traversal IS the (free, index) sort.
-                self.by_free.range(ppn..).flat_map(|(_, b)| b.iter().copied()).take(k).collect()
-            }
-            AllocPolicy::FirstFit => {
-                // k smallest indices across the fitting buckets: take at
-                // most k from each (they are sorted), then merge.
-                let mut cand: Vec<usize> = self
-                    .by_free
-                    .range(ppn..)
-                    .flat_map(|(_, b)| b.iter().copied().take(k))
-                    .collect();
-                cand.sort_unstable();
-                cand.truncate(k);
-                cand
-            }
+            // Buckets ascend by free count and each set ascends by
+            // index, so in-order traversal IS the (free, index) sort.
+            AllocPolicy::BestFit => fitting.iter().flat_map(BitSet::iter).take(k).collect(),
+            AllocPolicy::FirstFit => BitSet::union(fitting).take(k).collect(),
         };
         let hosts = chosen.iter().map(|&i| self.compute[i].0).collect();
         for i in chosen {
@@ -243,7 +247,7 @@ impl FreeTracker {
     /// shadow-time simulation, never against the live snapshot).
     pub fn give_back(&mut self, compute_hosts: &[HostId], ppn: u32, accs: &[HostId]) {
         for h in compute_hosts {
-            if let Some(&i) = self.index.get(h) {
+            if let Some(i) = self.index.get(*h) {
                 if self.offline[i] {
                     continue;
                 }
@@ -254,13 +258,23 @@ impl FreeTracker {
             }
         }
         for h in accs {
-            if self.acc_set.insert(*h) {
+            if self.acc_set.insert(h.index()) {
                 self.accs.push_back(*h);
             }
-            if let Some(s) = self.acc_state.get_mut(h) {
+            if let Some(s) = self.acc_mut(*h) {
                 s.free = s.total;
             }
         }
+    }
+
+    /// The slice record of an accelerator host.
+    fn acc(&self, h: HostId) -> Option<&AccState> {
+        self.acc_index.get(h).map(|r| &self.acc_state[r])
+    }
+
+    /// The slice record of an accelerator host, for update.
+    fn acc_mut(&mut self, h: HostId) -> Option<&mut AccState> {
+        self.acc_index.get(h).map(|r| &mut self.acc_state[r])
     }
 
     /// Pick `n` free accelerator hosts. Returns `None` (and changes
@@ -272,8 +286,8 @@ impl FreeTracker {
         }
         let taken: Vec<HostId> = self.accs.drain(..n).collect();
         for h in &taken {
-            self.acc_set.remove(h);
-            if let Some(s) = self.acc_state.get_mut(h) {
+            self.acc_set.remove(h.index());
+            if let Some(s) = self.acc_mut(*h) {
                 s.free = 0;
             }
         }
@@ -281,7 +295,7 @@ impl FreeTracker {
     }
 
     fn class_of(&self, h: HostId) -> DeviceClass {
-        self.acc_state.get(&h).map_or_else(DeviceClass::default, |s| s.class)
+        self.acc(h).map_or_else(DeviceClass::default, |s| s.class)
     }
 
     /// Class-constrained, partial [`Self::take_accelerators`]: the first
@@ -317,12 +331,25 @@ impl FreeTracker {
             self.accs.push_front(h);
         }
         for h in &taken {
-            self.acc_set.remove(h);
-            if let Some(s) = self.acc_state.get_mut(h) {
+            self.acc_set.remove(h.index());
+            if let Some(s) = self.acc_mut(*h) {
                 s.free = 0;
             }
         }
         Some(taken)
+    }
+
+    /// Accelerator hosts of `class` that could host one more slice for a
+    /// new request (online, ≥ 1 free slice, not in `exclude`), with
+    /// their registration ranks.
+    fn slice_candidates<'a>(
+        &'a self,
+        class: DeviceClass,
+        exclude: &'a [HostId],
+    ) -> impl Iterator<Item = (usize, &'a AccState)> + 'a {
+        self.acc_state.iter().enumerate().filter(move |(_, s)| {
+            s.class == class && !s.offline && s.free >= 1 && !exclude.contains(&s.host)
+        })
     }
 
     /// Number of devices of `class` that could host one more slice for a
@@ -330,10 +357,7 @@ impl FreeTracker {
     /// takes at most one slice per device, so this is also the largest
     /// satisfiable slice grant.
     pub fn free_slice_count(&self, class: DeviceClass, exclude: &[HostId]) -> usize {
-        self.acc_state
-            .iter()
-            .filter(|(h, s)| s.class == class && !s.offline && s.free >= 1 && !exclude.contains(h))
-            .count()
+        self.slice_candidates(class, exclude).count()
     }
 
     /// Pick `count` slice hosts of `class`, at most one slice per device,
@@ -351,44 +375,37 @@ impl FreeTracker {
         class: DeviceClass,
         exclude: &[HostId],
     ) -> Option<Vec<HostId>> {
-        let mut cand: Vec<(u32, usize, HostId)> = self
-            .acc_state
-            .iter()
-            .filter(|(h, s)| s.class == class && !s.offline && s.free >= 1 && !exclude.contains(h))
-            .map(|(h, s)| (s.free, s.reg, *h))
-            .collect();
+        let mut cand: Vec<(u32, usize, HostId)> =
+            self.slice_candidates(class, exclude).map(|(r, s)| (s.free, r, s.host)).collect();
         if cand.len() < count {
             return None;
         }
         cand.sort_unstable();
         cand.truncate(count);
-        let hosts: Vec<HostId> = cand.iter().map(|&(_, _, h)| h).collect();
-        for h in &hosts {
-            let s = self.acc_state.get_mut(h).expect("candidate host tracked");
-            s.free -= 1;
-            if self.acc_set.remove(h) {
-                self.accs.retain(|x| x != h);
+        for &(_, r, h) in &cand {
+            self.acc_state[r].free -= 1;
+            if self.acc_set.remove(h.index()) {
+                self.accs.retain(|x| *x != h);
             }
         }
-        Some(hosts)
+        Some(cand.into_iter().map(|(_, _, h)| h).collect())
     }
 
     /// Return one slice per listed host to the pool (shadow simulation and
     /// property tests; live state comes back via snapshots).
     pub fn give_back_slices(&mut self, hosts: &[HostId]) {
         for h in hosts {
-            if let Some(s) = self.acc_state.get_mut(h) {
-                s.free = (s.free + 1).min(s.total);
-                if !s.offline && s.free == s.total && self.acc_set.insert(*h) {
-                    self.accs.push_back(*h);
-                }
+            let Some(s) = self.acc_mut(*h) else { continue };
+            s.free = (s.free + 1).min(s.total);
+            if !s.offline && s.free == s.total && self.acc_set.insert(h.index()) {
+                self.accs.push_back(*h);
             }
         }
     }
 
     /// Free slices currently tracked on one accelerator host.
     pub fn free_slices_of(&self, host: HostId) -> u32 {
-        self.acc_state.get(&host).map_or(0, |s| if s.offline { 0 } else { s.free })
+        self.acc(host).map_or(0, |s| if s.offline { 0 } else { s.free })
     }
 
     /// Whether `job` could start right now (without taking anything).
@@ -431,7 +448,7 @@ impl GiveBackView<'_> {
     pub(crate) fn give_back(&mut self, compute_hosts: &[HostId], ppn: u32, accs: &[HostId]) {
         let base = self.base;
         for h in compute_hosts {
-            let Some(&i) = base.index.get(h) else { continue };
+            let Some(i) = base.index.get(*h) else { continue };
             if base.offline[i] {
                 continue;
             }
@@ -444,7 +461,7 @@ impl GiveBackView<'_> {
             *free = new;
         }
         for h in accs {
-            if !base.acc_set.contains(h) && self.returned_accs.insert(*h) {
+            if !base.acc_set.contains(h.index()) && self.returned_accs.insert(*h) {
                 self.free_accs += 1;
             }
         }

@@ -50,6 +50,13 @@ impl Engine {
         id
     }
 
+    /// Make room for `additional` more actors, so that registering them
+    /// grows no per-actor table.
+    pub fn reserve_actors(&mut self, additional: usize) {
+        self.kernel.borrow_mut().actor_names.reserve_exact(additional);
+        self.actors.reserve_exact(additional);
+    }
+
     /// Spawn a process whose `async` entry runs at the given virtual-time
     /// offset from now.
     pub fn spawn_process_after<F, Fut>(
